@@ -28,7 +28,7 @@ def _pair_grids(norm: Norm, resolution: int):
     diff = pts[:, None, :] - pts[None, :, :]
     chords = norm(diff.reshape(-1, 2)).reshape(res, res)
     sums = norm((pts[:, None, :] + pts[None, :, :]).reshape(-1, 2)).reshape(res, res)
-    return thetas, pts, chords, sums
+    return thetas, chords, sums
 
 
 def _partner_at_chord(norm: Norm, theta: float, eps: float, side: float) -> np.ndarray:
@@ -46,6 +46,29 @@ def _partner_at_chord(norm: Norm, theta: float, eps: float, side: float) -> np.n
     return radial_vec(norm, theta + side * t)
 
 
+def _refined_sum(norm: Norm, thetas: np.ndarray, sums: np.ndarray,
+                 feasible: np.ndarray, chord: float) -> float:
+    """Largest ``||b1 + b2||`` on the constraint ``||b1 - b2|| = chord``.
+
+    Golden-section search over ``b1`` near the best feasible grid pair, with
+    ``b2`` kept on the same side of ``b1`` as in that pair.
+    """
+    i, j = np.unravel_index(int(np.argmax(np.where(feasible, sums, -np.inf))),
+                            sums.shape)
+    step = float(thetas[1] - thetas[0])
+    gap = (thetas[j] - thetas[i]) % TWO_PI
+    side = 1.0 if gap <= math.pi else -1.0
+
+    def objective(theta: float) -> float:
+        b1 = radial_vec(norm, theta)
+        b2 = _partner_at_chord(norm, theta, chord, side)
+        return float(norm(b1 + b2))
+
+    _, refined = golden_max(objective, float(thetas[i]) - 2 * step,
+                            float(thetas[i]) + 2 * step)
+    return refined
+
+
 def modulus_of_convexity(norm: Norm, eps: float, resolution: int = 512,
                          *, refine: bool = True) -> float:
     """``delta(eps)`` for a 2D norm, accurate to roughly 1e-4 at the default grid."""
@@ -53,26 +76,13 @@ def modulus_of_convexity(norm: Norm, eps: float, resolution: int = 512,
         raise ValueError(f"eps must lie in (0, 2], got {eps}")
     if norm.dim != 2:
         raise ValueError("the optimisation grid works on 2D spheres")
-    thetas, _, chords, sums = _pair_grids(norm, resolution)
+    thetas, chords, sums = _pair_grids(norm, resolution)
     feasible = chords >= eps - 1e-12
     best = float(sums[feasible].max())
     if best >= 2.0 - 1e-12:
         return 0.0
     if refine:
-        i, j = np.unravel_index(int(np.argmax(np.where(feasible, sums, -np.inf))),
-                                sums.shape)
-        step = float(thetas[1] - thetas[0])
-        gap = (thetas[j] - thetas[i]) % TWO_PI
-        side = 1.0 if gap <= math.pi else -1.0
-
-        def objective(theta: float) -> float:
-            b1 = radial_vec(norm, theta)
-            b2 = _partner_at_chord(norm, theta, eps, side)
-            return float(norm(b1 + b2))
-
-        _, refined = golden_max(objective, float(thetas[i]) - 2 * step,
-                                float(thetas[i]) + 2 * step)
-        best = max(best, refined)
+        best = max(best, _refined_sum(norm, thetas, sums, feasible, eps))
     return max(0.0, 1.0 - 0.5 * best)
 
 
@@ -115,22 +125,10 @@ def is_strictly_convex(norm: Norm, resolution: int = 512,
         raise ValueError("resolution must be at least 64")
     if norm.dim != 2:
         raise ValueError("the midpoint scan works on 2D spheres")
-    thetas, pts, chords, sums = _pair_grids(norm, resolution)
+    thetas, chords, sums = _pair_grids(norm, resolution)
     feasible = chords >= separation
     mid_best = 0.5 * float(sums[feasible].max())
     if mid_best >= 1.0 - threshold:
         return False
-    i, j = np.unravel_index(int(np.argmax(np.where(feasible, sums, -np.inf))),
-                            sums.shape)
-    step = float(thetas[1] - thetas[0])
-    gap = (thetas[j] - thetas[i]) % TWO_PI
-    side = 1.0 if gap <= math.pi else -1.0
-
-    def objective(theta: float) -> float:
-        b1 = radial_vec(norm, theta)
-        b2 = _partner_at_chord(norm, theta, separation, side)
-        return 0.5 * float(norm(b1 + b2))
-
-    _, refined = golden_max(objective, float(thetas[i]) - 2 * step,
-                            float(thetas[i]) + 2 * step)
+    refined = 0.5 * _refined_sum(norm, thetas, sums, feasible, separation)
     return max(mid_best, refined) < 1.0 - threshold

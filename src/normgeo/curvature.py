@@ -153,15 +153,17 @@ def normed_curvature(ambient: Norm, curve: ClosedCurve, t0: float,
     rvals = np.asarray([r for _, r in ratios])
     darr = np.asarray(ds)
 
+    # flatness first: on a straight piece the rounding noise in the ratios
+    # grows like d^-3 and would pass the divergence test below
+    if np.abs(rvals).max() <= zero_ratio_tol:
+        return CurvatureEstimate(0.0, tuple(ratios), 0.0,
+                                 float(np.abs(rvals).max()), False, False)
     tail = rvals[-4:]
     divergent = bool(np.all(tail > 0.0)
                      and loglog_slope(darr[-4:], tail) < -0.5)
     if divergent:
         return CurvatureEstimate(math.inf, tuple(ratios), None,
                                  float("nan"), True, False)
-    if np.abs(rvals).max() <= zero_ratio_tol:
-        return CurvatureEstimate(0.0, tuple(ratios), 0.0,
-                                 float(np.abs(rvals).max()), False, False)
     limit, _, _, resid = fit_quadratic(darr, rvals)
     if limit < -1e-9:
         return CurvatureEstimate(None, tuple(ratios), limit, resid, False, True)

@@ -19,6 +19,7 @@ from .config import DEFAULT_TOLS
 from .charts import SphereMapSample
 from .norms import (Norm, RevolutionNorm, SpherePoint, hexagonal_norm,
                     sphere_point)
+from .numerics import golden_max
 from .sphere import arc_length_map
 
 __all__ = [
@@ -81,10 +82,6 @@ class Alignment:
         return (self.shift + idx) % n
 
 
-def _permuted(mat: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    return mat[np.ix_(perm, perm)]
-
-
 def align(fp_x: ChordFingerprint, fp_y: ChordFingerprint,
           tol: float = DEFAULT_TOLS.chord_match) -> list[Alignment]:
     """All (shift, reflected) permutations matching the two chord matrices.
@@ -109,7 +106,7 @@ def align(fp_x: ChordFingerprint, fp_y: ChordFingerprint,
         survivors = np.where(np.all(np.abs(rows - dx[0]) <= row_allow, axis=1))[0]
         for s in survivors:
             perm = Alignment(int(s), reflected, 0.0).permutation(n)
-            gap = np.abs(_permuted(dy, perm) - dx)
+            gap = np.abs(dy[np.ix_(perm, perm)] - dx)
             if np.all(gap <= allowance):
                 out.append(Alignment(int(s), reflected, float(gap.max())))
     out.sort(key=lambda a: (a.reflected, a.shift))
@@ -147,7 +144,6 @@ class IsometryGroupSummary:
     order: int | None
     continuous: bool
     elements: tuple[SymmetryElement, ...]
-    integer_alignments: tuple[Alignment, ...]
     pattern: str
 
     def to_json(self) -> dict:
@@ -164,30 +160,26 @@ class IsometryGroupSummary:
         }
 
 
-def _offset_points(amap, targets: np.ndarray, offset: float,
-                   reflected: bool) -> np.ndarray:
-    if reflected:
-        return amap.point_at(offset - targets)
-    return amap.point_at(offset + targets)
-
-
 def _self_alignment_scan(norm: Norm, fp: ChordFingerprint, reflected: bool,
-                         tol: float):
+                         tol: float) -> list[tuple[float, float]] | None:
     """Zeros of the chord-profile mismatch over continuous arc offsets.
 
-    Returns (offsets, continuous?): each offset is a refined local minimum of
-    the row-profile discrepancy whose full chord matrix then matches within
-    ``tol``; if the screening profile is flat-zero everywhere the symmetry is
-    continuous.
+    Returns ``None`` when the row-profile discrepancy is within ``tol`` at
+    every grid offset (the symmetry is continuous).  Otherwise returns the
+    ``(offset, defect)`` pairs, sorted by offset: each offset is a refined
+    local minimum of the row-profile discrepancy whose full chord matrix
+    matches within ``tol``, and ``defect`` is that full-matrix mismatch.
     """
     amap = arc_length_map(norm)
     circ = amap.circumference
     n = fp.n
     targets = np.arange(n) * (circ / n)
+    if reflected:
+        targets = -targets
     ref_row = fp.chords[0]
 
     def row_mismatch(offset: float) -> float:
-        pts = _offset_points(amap, targets, offset, reflected)
+        pts = amap.point_at(offset + targets)
         row = norm(pts - pts[0])
         return float(np.abs(row - ref_row).max())
 
@@ -195,71 +187,55 @@ def _self_alignment_scan(norm: Norm, fp: ChordFingerprint, reflected: bool,
     grid = np.linspace(0.0, circ, grid_size, endpoint=False)
     profile = np.array([row_mismatch(g) for g in grid])
     if np.all(profile <= tol):
-        return [], True
+        return None
     step = circ / grid_size
     screen = max(10.0 * step, 20.0 * float(profile.min() + 1e-15))
     screen = min(screen, 0.2)
     local_min = (profile <= np.roll(profile, 1)) & (profile <= np.roll(profile, -1))
     candidates = np.where(local_min & (profile <= screen))[0]
-    found: list[float] = []
+    found: list[tuple[float, float]] = []
     for idx in candidates:
-        lo = float(grid[idx]) - step
-        hi = float(grid[idx]) + step
-        # ternary refinement of the V-shaped mismatch
-        for _ in range(90):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            if row_mismatch(m1) <= row_mismatch(m2):
-                hi = m2
-            else:
-                lo = m1
-            if hi - lo < 1e-13 * max(1.0, circ):
-                break
-        offset = 0.5 * (lo + hi)
-        pts = _offset_points(amap, targets, offset, reflected)
-        full = np.abs(_chord_matrix(norm, pts) - fp.chords).max()
-        if full <= tol:
+        # the mismatch is V-shaped around each zero
+        offset, _ = golden_max(lambda w: -row_mismatch(w),
+                               float(grid[idx]) - step, float(grid[idx]) + step)
+        pts = amap.point_at(offset + targets)
+        defect = float(np.abs(_chord_matrix(norm, pts) - fp.chords).max())
+        if defect <= tol:
             w = offset % circ
             if w > circ - 1e-7 * circ:  # refined to just under a full turn
                 w = 0.0
-            found.append(w)
+            found.append((w, defect))
     found.sort()
-    merged: list[float] = []
-    for w in found:
-        if merged and min(abs(w - merged[-1]), circ - abs(w - merged[-1])) < 1e-7 * circ:
+    merged: list[tuple[float, float]] = []
+    for w, defect in found:
+        if merged and min(abs(w - merged[-1][0]),
+                          circ - abs(w - merged[-1][0])) < 1e-7 * circ:
             continue
-        merged.append(w)
+        merged.append((w, defect))
     if (len(merged) > 1
-            and (circ - merged[-1]) + merged[0] < 1e-7 * circ):
+            and (circ - merged[-1][0]) + merged[0][0] < 1e-7 * circ):
         merged.pop()
-    return merged, False
+    return merged
 
 
 def isometry_group(norm: Norm, n: int = 512,
                    tol: float = DEFAULT_TOLS.chord_match) -> IsometryGroupSummary:
     """Self-isometry group of a 2D sphere via chord-matrix self-alignment.
 
-    Integer sample shifts are searched exhaustively; rotations and
-    reflections whose arc offset falls between samples are recovered by the
-    continuous-offset scan, so the reported order does not depend on the
-    divisibility of ``n``.
+    Rotations and reflections are found by scanning continuous arc offsets,
+    so the reported order does not depend on the divisibility of ``n``.
+    Every element's full chord matrix matches the fingerprint within ``tol``;
+    its ``defect`` is the largest entrywise mismatch.
     """
     fp = fingerprint(norm, n)
-    integer = tuple(align(fp, fp, tol))
-    circ = fp.circumference
-    step = circ / n
-    rot, rot_cont = _self_alignment_scan(norm, fp, False, tol)
-    refl, refl_cont = _self_alignment_scan(norm, fp, True, tol)
-    continuous = rot_cont or refl_cont
+    step = fp.circumference / n
+    rot = _self_alignment_scan(norm, fp, False, tol)
+    refl = _self_alignment_scan(norm, fp, True, tol)
+    continuous = rot is None or refl is None
     elements: list[SymmetryElement] = []
     if not continuous:
-        amap = arc_length_map(norm)
-        targets = np.arange(n) * step
-        for kind, offsets, reflected in (("rotation", rot, False),
-                                         ("reflection", refl, True)):
-            for off in offsets:
-                pts = _offset_points(amap, targets, off, reflected)
-                defect = float(np.abs(_chord_matrix(norm, pts) - fp.chords).max())
+        for kind, pairs in (("rotation", rot), ("reflection", refl)):
+            for off, defect in pairs:
                 elements.append(SymmetryElement(kind, off, off / step, defect))
     order = None if continuous else len(elements)
     n_rot = sum(1 for e in elements if e.kind == "rotation")
@@ -273,7 +249,7 @@ def isometry_group(norm: Norm, n: int = 512,
     else:
         pattern = "irregular"
     return IsometryGroupSummary(norm.kind, n, order, continuous,
-                                tuple(elements), integer, pattern)
+                                tuple(elements), pattern)
 
 
 _LIFT_NORM = RevolutionNorm(hexagonal_norm())

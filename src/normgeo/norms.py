@@ -128,6 +128,8 @@ def _polygon_issues(vertices: Sequence[Sequence[float]]) -> list[str]:
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 2 or verts.shape[1] != 2:
         return ["vertices must be a list of 2D points"]
+    if not np.all(np.isfinite(verts)):
+        return ["vertex coordinates must be finite"]
     n = verts.shape[0]
     if n < 4:
         issues.append(f"need at least 4 vertices, got {n}")
@@ -455,7 +457,7 @@ def sphere_point(norm: Norm, v, theta: float | None = None,
     """Certify ``v`` as a point of the unit sphere of ``norm``."""
     arr = np.asarray(v, dtype=float)
     value = norm(arr)
-    if abs(value - 1.0) > tol:
+    if not abs(value - 1.0) <= tol:  # also rejects a NaN norm value
         raise ValueError(f"vector {arr.tolist()} has norm {value!r}, not 1")
     return SpherePoint(tuple(float(x) for x in arr), norm, theta)
 

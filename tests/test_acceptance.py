@@ -167,13 +167,14 @@ def test_criterion_08_isometry_group_orders():
         "hexagon": isometry_group(hexagonal_norm(), 512, 1e-6).order,
     }
     euclid_summary = isometry_group(EuclideanNorm(), 512, 1e-6)
+    euclid_fp = fingerprint(EuclideanNorm(), 512)
     # independent oracle: linear maps permuting hexagon vertices
     from test_isometry import hexagon_symmetry_oracle
     oracle = hexagon_symmetry_oracle()
     ok = (orders == {"lens": 4, "p3": 8, "square": 8, "hexagon": 12}
           and orders["hexagon"] == oracle
           and euclid_summary.continuous
-          and len(euclid_summary.integer_alignments) == 2 * 512)
+          and len(align(euclid_fp, euclid_fp, 1e-6)) == 2 * 512)
     elapsed = time.time() - t0
     _line(8, "self-isometry groups: 4, 8, 8, 12, continuous",
           ok, f"{orders}, oracle {oracle}, {elapsed:.1f} s")

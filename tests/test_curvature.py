@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from normgeo import (EuclideanNorm, TwoPointConditionError, circle_curve,
-                     corner_ratio, ellipse_curve, normed_curvature,
-                     sphere_curve)
+                     corner_ratio, diamond_norm, ellipse_curve, hexagonal_norm,
+                     normed_curvature, sphere_curve, square_norm)
 
 
 def test_circle_curvature_is_inverse_radius(euclid):
@@ -46,6 +46,20 @@ def test_hexagon_sphere_flat_in_own_norm(hexn):
     edge = normed_curvature(hexn, curve, math.atan2(0.5, 0.75))
     assert edge.value == 0.0
     assert max(abs(r) for _, r in edge.ratios) <= 1e-5
+
+
+@pytest.mark.parametrize("make", [square_norm, diamond_norm, hexagonal_norm])
+def test_polygon_faces_flat_in_own_norm(make):
+    # the middle half of every face; rounding noise in the ratios there
+    # must not be read as a diverging sequence
+    norm = make()
+    verts = norm.vertex_array()
+    curve = sphere_curve(norm)
+    for k in range(len(verts)):
+        for lam in np.linspace(0.25, 0.75, 11):
+            p = (1.0 - lam) * verts[k] + lam * verts[(k + 1) % len(verts)]
+            est = normed_curvature(norm, curve, math.atan2(p[1], p[0]))
+            assert est.value == 0.0, (norm.kind, k, lam, est.ratios)
 
 
 def test_hexagon_vertex_diverges_in_round_norm(euclid, hexn):

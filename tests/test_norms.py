@@ -65,9 +65,12 @@ def test_radial_points_land_on_sphere(shipped_2d):
         assert np.abs(norm(pts) - 1.0).max() <= 1e-12, norm.kind
 
 
-def test_sphere_point_rejects_off_sphere(hexn):
+def test_sphere_point_rejects_off_sphere(hexn, euclid):
     with pytest.raises(ValueError, match="norm"):
         sphere_point(hexn, [0.9, 0.0])
+    for norm in (hexn, euclid):
+        with pytest.raises(ValueError, match="norm"):
+            sphere_point(norm, [math.nan, 0.0])
 
 
 def test_dimension_mismatch_raises(hexn):
@@ -126,6 +129,11 @@ def test_validate_reports_broken_polygon():
     report = validate_norm(broken, 500)
     assert not report.passed
     assert any("symmetric" in issue for issue in report.structural_issues)
+    nan_vertex = PolygonNorm(((math.nan, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)),
+                             validate=False)
+    report = validate_norm(nan_vertex, 500)
+    assert not report.passed
+    assert any("finite" in issue for issue in report.structural_issues)
 
 
 def test_polygon_construction_errors():
@@ -137,6 +145,9 @@ def test_polygon_construction_errors():
         # (0,2), (-1,1), (-2,0) sit on one line
         PolygonNorm(((2.0, 0.0), (0.0, 2.0), (-1.0, 1.0), (-2.0, 0.0),
                      (0.0, -2.0), (1.0, -1.0)))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            PolygonNorm(((bad, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)))
 
 
 def test_lens_is_normalized_with_two_corners(lens):

@@ -128,6 +128,11 @@ def test_cli_rejects_malformed_file(tmp_path):
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{]")
     assert main(["dset", "--norm", str(notjson)]) == 2
+    # the JSON reader accepts NaN; such a polygon must not pass validation
+    nan_vertex = tmp_path / "nan_vertex.json"
+    nan_vertex.write_text(
+        '{"kind": "polygon", "vertices": [[NaN, 0], [0, 1], [-1, 0], [0, -1]]}')
+    assert main(["validate", "--norm", str(nan_vertex)]) == 2
 
 
 def test_cli_norm_json_round_trip_precision(tmp_path, capsys):
