@@ -91,8 +91,7 @@ def _two_points_at_distance(ambient: Norm, curve: ClosedCurve, t0: float,
     ts = t0 + np.linspace(0.0, curve.period, grid, endpoint=False)
     vals = ambient(curve.points(ts) - x) - delta
     sign_lo = vals < 0.0
-    crossings = [i for i in range(grid)
-                 if sign_lo[i] != sign_lo[(i + 1) % grid]]
+    crossings = np.flatnonzero(sign_lo != np.roll(sign_lo, -1))
     if len(crossings) != 2:
         raise TwoPointConditionError(delta, len(crossings))
     step = curve.period / grid

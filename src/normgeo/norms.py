@@ -110,8 +110,8 @@ class EuclideanNorm(Norm):
     kind = "euclidean"
 
     def __post_init__(self):
-        if not (self.scale > 0.0):
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not (0.0 < self.scale < math.inf):
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
 
@@ -276,6 +276,10 @@ class LensNorm(Norm):
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "offset", offset)
         m = np.asarray(shape, dtype=float)
+        if not np.all(np.isfinite(m)):
+            raise ValueError(f"shape matrix must be finite, got {shape}")
+        if not all(map(math.isfinite, offset)):
+            raise ValueError(f"offset must be finite, got {offset}")
         if np.abs(m - m.T).max() > 1e-12 * max(1.0, np.abs(m).max()):
             raise ValueError("shape matrix must be symmetric")
         eigs = np.linalg.eigvalsh(m)

@@ -164,6 +164,11 @@ def test_lens_rejects_bad_shapes():
         LensNorm(shape=((-1.0, 0.0), (0.0, 1.0)))
     with pytest.raises(ValueError, match="inside"):
         LensNorm(offset=(5.0, 0.0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="offset"):
+            LensNorm(offset=(bad, 0.0))
+        with pytest.raises(ValueError, match="shape"):
+            LensNorm(shape=((bad, 0.0), (0.0, 1.0)))
 
 
 def test_radial_gauge_reproduces_ellipse_norm():
@@ -210,6 +215,12 @@ def test_norm_from_json_rejects_garbage():
         norm_from_json({"kind": "nope"})
     with pytest.raises(ValueError):
         norm_from_json(["not", "a", "dict"])
+    # the JSON reader turns 1e309 into inf
+    with pytest.raises(ValueError, match="scale"):
+        norm_from_json(json.loads('{"kind": "euclidean", "scale": 1e309}'))
+    for bad in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="scale"):
+            EuclideanNorm(scale=bad)
 
 
 def test_builtin_norm_names():

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from normgeo import (arc_hausdorff, arcset, bisector_points, diametral_set,
-                     is_flat, is_isosceles_orthogonal, maximal_segments,
-                     radial_point, self_circumference, sphere_distance,
-                     sphere_point, star)
-from normgeo.norms import PNorm, radial_points_vec
+from normgeo import (PolygonNorm, arc_hausdorff, arcset, bisector_points,
+                     diametral_set, is_flat, is_isosceles_orthogonal,
+                     maximal_segments, radial_point, self_circumference,
+                     sphere_distance, sphere_point, star)
+from normgeo.norms import HEX_VERTICES, PNorm, radial_points_vec
+from normgeo.sphere import arc_length_map
 
 TWO_PI = 2 * math.pi
 
@@ -239,6 +240,57 @@ def test_self_circumference_monotone_under_refinement(euclid, lens):
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
         gaps = [b - a for a, b in zip(values, values[1:])]
         assert gaps[-1] <= gaps[0]
+
+
+# -- arc-length map ----------------------------------------------------------
+
+# a polygon that is not builtin: the hexagon under [[1.3, 0.4], [-0.2, 0.9]]
+HEX_IMAGE = PolygonNorm(tuple(
+    (float(x), float(y))
+    for x, y in np.asarray(HEX_VERTICES) @ np.array([[1.3, 0.4], [-0.2, 0.9]]).T))
+
+
+def test_arc_length_map_circumference_closed_forms(euclid, hexn, square, diamond):
+    for norm, exact in ((euclid, TWO_PI), (hexn, 6.0), (square, 8.0),
+                        (diamond, 8.0), (HEX_IMAGE, 6.0)):
+        assert arc_length_map(norm).circumference == pytest.approx(exact, abs=1e-12)
+
+
+def test_arc_length_map_conjugate_exponents_share_perimeter(p3):
+    # Schaffer: the spheres of l_p and l_q with 1/p + 1/q = 1 have equal
+    # self-perimeter; p < 2 converges slowly at the axes (see the class doc)
+    assert arc_length_map(PNorm(1.5, 2)).circumference == pytest.approx(
+        arc_length_map(p3).circumference, abs=1e-7)
+
+
+def test_arc_length_map_places_polygon_points_on_faces():
+    amap = arc_length_map(HEX_IMAGE)
+    verts = HEX_IMAGE.vertex_array()
+    verts = verts[np.argsort(np.arctan2(verts[:, 1], verts[:, 0]) % TWO_PI)]
+    closed = np.vstack([verts, verts[:1]])
+    faces = HEX_IMAGE(np.diff(closed, axis=0))
+    # arc 0 is the angle-0 point, on the face that ends at the first vertex
+    start = HEX_IMAGE(verts[0] - amap.point_at(np.array([0.0]))[0])
+    arcs = start + np.concatenate([[0.0], np.cumsum(faces)])
+    frac = np.linspace(0.0, 1.0, 41)
+    for k in range(len(verts)):
+        pts = amap.point_at(arcs[k] + frac * faces[k])
+        on_face = closed[k] + frac[:, None] * (closed[k + 1] - closed[k])
+        assert np.abs(pts - on_face).max() <= 1e-12
+        assert np.abs(HEX_IMAGE(pts - closed[k]) - frac * faces[k]).max() <= 1e-12
+        assert np.abs(HEX_IMAGE(closed[k + 1] - pts)
+                      - (1.0 - frac) * faces[k]).max() <= 1e-12
+
+
+def test_arc_length_map_places_points_on_smooth_spheres(euclid):
+    # on the round sphere arc length is the angle
+    arcs = np.linspace(0.0, TWO_PI, 1001)
+    pts = arc_length_map(euclid).point_at(arcs)
+    assert np.abs(pts - np.column_stack([np.cos(arcs), np.sin(arcs)])).max() <= 1e-12
+    p15 = PNorm(1.5, 2)
+    amap = arc_length_map(p15)
+    pts = amap.point_at(np.linspace(0.0, amap.circumference, 100_001))
+    assert np.abs(p15(pts) - 1.0).max() <= 1e-12
 
 
 # -- arc sets ----------------------------------------------------------------

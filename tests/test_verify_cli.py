@@ -133,6 +133,13 @@ def test_cli_rejects_malformed_file(tmp_path):
     nan_vertex.write_text(
         '{"kind": "polygon", "vertices": [[NaN, 0], [0, 1], [-1, 0], [0, -1]]}')
     assert main(["validate", "--norm", str(nan_vertex)]) == 2
+    for name, text in (
+            ("huge_scale", '{"kind": "euclidean", "scale": 1e309}'),
+            ("nan_offset", '{"kind": "lens", "offset": [NaN, 0]}'),
+            ("inf_offset", '{"kind": "lens", "offset": [Infinity, 0]}')):
+        spec = tmp_path / f"{name}.json"
+        spec.write_text(text)
+        assert main(["validate", "--norm", str(spec)]) == 2
 
 
 def test_cli_norm_json_round_trip_precision(tmp_path, capsys):
