@@ -228,39 +228,85 @@ def four_distance_injectivity(norm: Norm, u1, u2, resolution: int = 4096,
                               min_separation_steps: int = 4) -> InjectivityResult:
     """Does ``v -> (||v+u1||, ||v-u1||, ||v+u2||, ||v-u2||)`` separate the sphere?
 
-    Scans ``resolution`` angles; two samples further apart than
-    ``min_separation_steps`` grid steps whose distance 4-tuples agree within
-    ``tol`` (sup metric) are a collision witness.
+    Samples ``resolution`` angles and finds the exact minimum ``min_gap`` of
+    the sup-metric gap between the distance 4-tuples of two samples more
+    than ``min_separation_steps`` grid steps apart (circularly).  The sphere
+    counts as separated when ``min_gap > tol``; otherwise ``witness`` is the
+    pair attaining ``min_gap``, as plain float tuples with the smaller sample
+    index first, the lowest index pair winning ties.
+
+    The search is a sort-and-sweep closest pair: the tuples are sorted by
+    ``||v+u1||``, and each sorted row is compared with the rows 1, 2, ...
+    places after it while the key difference, a lower bound of the gap,
+    stays within the best gap found so far.
+
+    Raises ``ValueError`` when no sample pair is far apart, when ``u1`` or
+    ``u2`` is not a finite 2D vector or makes a distance overflow, and when
+    ``tol`` is negative or NaN.
     """
     if norm.dim != 2:
         raise ValueError("the scan works on 2D spheres")
-    a = np.asarray(u1, dtype=float)
-    b = np.asarray(u2, dtype=float)
+    a, b = _direction(u1, "u1"), _direction(u2, "u2")
     if abs(a[0] * b[1] - a[1] * b[0]) < 1e-12:
         raise ValueError("u1, u2 must form a basis")
-    thetas = np.linspace(0.0, TWO_PI, resolution, endpoint=False)
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
+    m = min_separation_steps
+    if m < 0:
+        raise ValueError(f"min_separation_steps must be >= 0, got {m!r}")
+    n = resolution
+    if n <= 2 * m + 1:
+        raise ValueError(f"resolution must exceed 2 * min_separation_steps + 1 = "
+                         f"{2 * m + 1} so that some sample pair is far apart, got {n!r}")
+    thetas = np.linspace(0.0, TWO_PI, n, endpoint=False)
     pts = radial_points_vec(norm, thetas)
     tuples = np.column_stack([
         norm(pts + a), norm(pts - a), norm(pts + b), norm(pts - b)])
-    n = resolution
-    min_gap = math.inf
-    block = 256
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        diff = np.abs(tuples[start:stop, None, :] - tuples[None, :, :]).max(axis=2)
-        idx = np.arange(start, stop)[:, None]
-        sep = np.abs(idx - np.arange(n)[None, :])
-        sep = np.minimum(sep, n - sep)
-        far = sep > min_separation_steps
-        masked = np.where(far, diff, np.inf)
-        local = float(masked.min())
-        if local < min_gap:
-            min_gap = local
-            if local <= tol:
-                i, j = np.unravel_index(int(np.argmin(masked)), masked.shape)
-                wit = (tuple(pts[start + i]), tuple(pts[j]))
-                return InjectivityResult(False, wit, min_gap)
-    return InjectivityResult(True, None, min_gap)
+    if not np.isfinite(tuples).all():
+        raise ValueError(f"distances to +-u1, +-u2 overflow: u1 {u1!r}, u2 {u2!r} "
+                         f"are too long for this norm")
+    # pairs exactly m + 1 steps apart are always far apart: they seed the bound
+    idx = np.arange(n)
+    partner = (idx + m + 1) % n
+    seed = np.abs(tuples - tuples[partner]).max(axis=1)
+    best = float(seed.min())
+    code = _lowest_pair(idx, partner, seed == best, n)
+    order = np.argsort(tuples[:, 0], kind="stable")
+    ranked = tuples[order]
+    keys = ranked[:, 0]
+    rows = idx
+    k = 0
+    while rows.size:
+        k += 1
+        rows = rows[rows < n - k]
+        # the key gap never shrinks as k grows, and ties with best are kept
+        rows = rows[keys[rows + k] - keys[rows] <= best]
+        i, j = order[rows], order[rows + k]
+        sep = np.abs(i - j)
+        gaps = np.where(np.minimum(sep, n - sep) > m,
+                        np.abs(ranked[rows + k] - ranked[rows]).max(axis=1), np.inf)
+        g = float(gaps.min(initial=np.inf))
+        if g <= best:
+            c = _lowest_pair(i, j, gaps == g, n)
+            if (g, c) < (best, code):
+                best, code = g, c
+    if best > tol:
+        return InjectivityResult(True, None, best)
+    lo, hi = divmod(code, n)
+    wit = (tuple(pts[lo].tolist()), tuple(pts[hi].tolist()))
+    return InjectivityResult(False, wit, best)
+
+
+def _lowest_pair(i: np.ndarray, j: np.ndarray, at: np.ndarray, n: int) -> int:
+    """``lo * n + hi`` of the lowest index pair ``{i, j}`` selected by ``at``."""
+    return int((np.minimum(i[at], j[at]) * n + np.maximum(i[at], j[at])).min())
+
+
+def _direction(u, name: str) -> np.ndarray:
+    vec = np.asarray(u, dtype=float)
+    if vec.shape != (2,) or not np.isfinite(vec).all():
+        raise ValueError(f"{name} must be a finite 2D vector, got {u!r}")
+    return vec
 
 
 def arc_distinguishes(norm: Norm, arc, p, q, tol: float = 1e-9,

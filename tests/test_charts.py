@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from normgeo import (antipodality_defect, arc_distinguishes, arcset,
-                     base_leftmost_crossing, cone_distance_check,
-                     cone_reconstruct_abscissa, four_distance_injectivity,
+from normgeo import (PNorm, PolygonNorm, antipodality_defect,
+                     arc_distinguishes, arcset, base_leftmost_crossing,
+                     cone_distance_check, cone_reconstruct_abscissa,
+                     four_distance_injectivity,
                      linearity_defect, make_chart, radial_point,
                      sample_sphere_map, top_face_half_width)
-from normgeo.norms import radial_points_vec
+from normgeo.norms import HEX_VERTICES, radial_points_vec
 
 
 def shear_map(v):
@@ -136,6 +137,68 @@ def test_injectivity_witness_machinery(euclid):
 def test_injectivity_rejects_dependent_directions(euclid):
     with pytest.raises(ValueError, match="basis"):
         four_distance_injectivity(euclid, [1, 0], [-1, 0], 256)
+
+
+def brute_force_scan(norm, u1, u2, n, m=4):
+    """O(n^2) reference: the minimal far-pair sup gap and its lowest index pair."""
+    pts = radial_points_vec(norm, np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
+    a, b = np.asarray(u1, dtype=float), np.asarray(u2, dtype=float)
+    tuples = np.column_stack([norm(pts + a), norm(pts - a), norm(pts + b), norm(pts - b)])
+    gaps = np.abs(tuples[:, None, :] - tuples[None, :, :]).max(axis=2)
+    sep = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+    gaps[np.minimum(sep, n - sep) <= m] = np.inf
+    # the first minimum in row-major order of the symmetric matrix has i < j
+    i, j = np.unravel_index(int(np.argmin(gaps)), gaps.shape)
+    return float(gaps[i, j]), pts, tuples, (int(i), int(j))
+
+
+@pytest.fixture(scope="module")
+def scan_norms(euclid, p3, square, hexn, lens):
+    image = np.asarray(HEX_VERTICES) @ np.array([[1.2, 0.4], [-0.3, 0.8]]).T
+    return [euclid, p3, PNorm(1.5, 2), square, hexn, lens,
+            PolygonNorm(tuple(map(tuple, image)))]
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+@pytest.mark.parametrize("basis", [([1, 0], [0, 1]), ([0.8, 0.3], [-0.2, 0.9])])
+def test_injectivity_scan_matches_brute_force(scan_norms, n, basis):
+    for norm in scan_norms:
+        min_gap, pts, tuples, (i, j) = brute_force_scan(norm, *basis, n)
+        result = four_distance_injectivity(norm, *basis, n)
+        assert result.min_gap == min_gap, (norm.kind, n)
+        assert result.injective == (min_gap > 1e-6)
+        assert result.witness is None
+        forced = four_distance_injectivity(norm, *basis, n, tol=10.0)
+        assert not forced.injective and forced.min_gap == min_gap
+        assert forced.witness == (tuple(pts[i]), tuple(pts[j]))
+        assert all(type(x) is float for p in forced.witness for x in p)
+        lo, hi = (int(np.flatnonzero((pts == p).all(axis=1))[0]) for p in forced.witness)
+        assert min(hi - lo, n - hi + lo) > 4
+        assert np.abs(tuples[lo] - tuples[hi]).max() == forced.min_gap
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"resolution": 0}, "resolution"),
+    ({"resolution": 9}, "resolution"),
+    ({"resolution": 12, "min_separation_steps": 6}, "resolution"),
+    ({"min_separation_steps": -1}, "min_separation_steps"),
+    ({"u1": [math.nan, 0.0]}, "u1"),
+    ({"u1": [math.inf, 0.0]}, "u1"),
+    ({"u2": [0.0, -math.inf]}, "u2"),
+    ({"u1": [1.0, 0.0, 0.0]}, "u1"),
+    ({"u1": [1e200, 0.0]}, "u1"),
+    ({"tol": math.nan}, "tol"),
+    ({"tol": -1.0}, "tol"),
+])
+def test_injectivity_rejects_scans_that_certify_nothing(euclid, kwargs, name):
+    args = {"u1": [1.0, 0.0], "u2": [0.0, 1.0], "resolution": 256, **kwargs}
+    with pytest.raises(ValueError, match=name):
+        four_distance_injectivity(euclid, **args)
+
+
+def test_injectivity_smallest_resolution_has_a_far_pair(euclid):
+    result = four_distance_injectivity(euclid, [1, 0], [0, 1], 10)
+    assert math.isfinite(result.min_gap) and result.injective
 
 
 # -- arc determination -------------------------------------------------------
