@@ -64,9 +64,13 @@ def _refined_sum(norm: Norm, thetas: np.ndarray, sums: np.ndarray,
         b2 = _partner_at_chord(norm, theta, chord, side)
         return float(norm(b1 + b2))
 
-    _, refined = golden_max(objective, float(thetas[i]) - 2 * step,
-                            float(thetas[i]) + 2 * step)
-    return refined
+    lo, hi = float(thetas[i]) - 2 * step, float(thetas[i]) + 2 * step
+    _, refined, converged = golden_max(
+        lambda ts: np.array([objective(float(t)) for t in ts]), [lo], [hi])
+    if not converged[0]:
+        raise RuntimeError(f"sum refinement on the {norm.kind} sphere hit its "
+                           f"iteration cap in bracket [{lo!r}, {hi!r}]")
+    return float(refined[0])
 
 
 def modulus_of_convexity(norm: Norm, eps: float, resolution: int = 512,

@@ -3,9 +3,13 @@
 A sphere is fingerprinted by sampling it at equal own-norm arc-length steps
 and recording the full pairwise chord matrix.  Isometries between two spheres
 then appear as sample permutations (an integer shift, possibly reflected)
-that leave the chord matrix invariant; the self-isometry group is recovered
+that leave the chord matrix invariant.  The self-isometry group is recovered
 by the same test run over continuous arc offsets, so symmetries whose order
-does not divide the sample count are still found.
+does not divide the sample count are still found: a lag table of distances
+between points of a grid finer than the samples gives the row-0 mismatch of
+every grid offset at once, for rotations and reflections alike, and the
+grid's local minima are refined together by one batched golden-section
+search before each survivor's full chord matrix is checked.
 """
 
 from __future__ import annotations
@@ -29,6 +33,32 @@ __all__ = [
     "lift_affine_defect",
 ]
 
+# Fingerprint points are radial projections of arc-length placements, on
+# their sphere up to rounding; certification leaves room for that rounding
+# as the arc-length spacing checks do.
+_SPHERE_POINT_TOL = 1e-9
+# An alignment pairs the samples of two spheres, each placed as above; the
+# map sample certifies both sides with an order of magnitude more room.
+_MAP_SAMPLE_TOL = 1e-8
+# Candidate screen of the offset scan.  Offsets move sample points at unit
+# speed in the norm, so the row mismatch grows at most twice as fast as the
+# distance to a true symmetry, and the grid offset nearest one shows at most
+# one grid step: grid minima up to ten steps are refined.
+_SCREEN_GRID_STEPS = 10.0
+# Minima up to twenty times the best grid mismatch are refined as well, so a
+# sphere with no symmetry of one orientation still yields candidates for the
+# full check to reject; the floor keeps that allowance positive when the best
+# mismatch is an exact zero.
+_SCREEN_OVER_MIN = 20.0
+_SCREEN_FLOOR = 1e-15
+# No minimum above a tenth of the diameter 2 is refined: a grid step is at
+# most 8/1024, far below it, so no symmetry is lost.
+_SCREEN_CAP = 0.2
+# Refined offsets nearer than this fraction of the circumference are one
+# element: brackets from adjacent grid minima converge to the same zero to
+# ~1e-12, and distinct elements lie a circumference over the order apart.
+_MERGE_RADIUS = 1e-7
+
 
 @dataclass(frozen=True)
 class ChordFingerprint:
@@ -41,7 +71,7 @@ class ChordFingerprint:
     circumference: float
 
     def sphere_points(self) -> list[SpherePoint]:
-        return [sphere_point(self.norm, p, tol=1e-9) for p in self.points]
+        return [sphere_point(self.norm, p, tol=_SPHERE_POINT_TOL) for p in self.points]
 
 
 def _chord_matrix(norm: Norm, pts: np.ndarray) -> np.ndarray:
@@ -118,7 +148,7 @@ def alignment_map_sample(fp_x: ChordFingerprint, fp_y: ChordFingerprint,
     """The sphere map induced by an alignment, ready for defect measurements."""
     perm = alignment.permutation(fp_x.n)
     return SphereMapSample(fp_x.norm, fp_y.norm, fp_x.points, fp_y.points[perm],
-                           tol=1e-8)
+                           tol=_MAP_SAMPLE_TOL)
 
 
 @dataclass(frozen=True)
@@ -160,62 +190,124 @@ class IsometryGroupSummary:
         }
 
 
-def _self_alignment_scan(norm: Norm, fp: ChordFingerprint, reflected: bool,
-                         tol: float) -> list[tuple[float, float]] | None:
-    """Zeros of the chord-profile mismatch over continuous arc offsets.
+def _lag_profiles(norm: Norm, fp: ChordFingerprint):
+    """Row mismatch of every grid offset, for rotations and for reflections.
 
-    Returns ``None`` when the row-profile discrepancy is within ``tol`` at
-    every grid offset (the symmetry is continuous).  Otherwise returns the
-    ``(offset, defect)`` pairs, sorted by offset: each offset is a refined
-    local minimum of the row-profile discrepancy whose full chord matrix
-    matches within ``tol``, and ``defect`` is that full-matrix mismatch.
+    The grid has ``m = r * n`` offsets, ``r`` the smallest integer with
+    ``m >= max(4n, 1024)``, so an offset plus a sample step is again a grid
+    offset.  The grid points ``q`` are placed once; the lag table
+    ``|q[i + r k] - q[i]|`` against row 0 of the chord matrix gives the
+    rotation profile, and the same table read at rows ``i - r k`` gives the
+    reflection profile, the norm being symmetric.  The table is built
+    ``n / 2`` rows per norm call, so its blocks stay below the memory one
+    chord matrix takes.
+
+    Returns ``(grid, rotation_profile, reflection_profile)``.
     """
+    n = fp.n
+    r = max(4, -(-1024 // n))
+    m = r * n
+    grid = np.linspace(0.0, fp.circumference, m, endpoint=False)
+    q = arc_length_map(norm).point_at(grid)
+    lags = r * np.arange(n)
+    cols = np.arange(n)
+    block = n // 2
+    dev = np.empty((m, n))
+    for lo in range(0, m, block):
+        rows = np.arange(lo, lo + block)[:, None]
+        diff = q[(rows + lags) % m] - q[rows]
+        dev[lo:lo + block] = norm(diff.reshape(-1, 2)).reshape(block, n)
+    dev -= fp.chords[0]
+    np.abs(dev, out=dev)
+    flipped = np.empty(m)
+    for lo in range(0, m, block):
+        rows = np.arange(lo, lo + block)[:, None]
+        flipped[lo:lo + block] = dev[(rows - lags) % m, cols].max(axis=1)
+    return grid, dev.max(axis=1), flipped
+
+
+def _profile_zeros(norm: Norm, fp: ChordFingerprint, grid: np.ndarray,
+                   profile: np.ndarray, reflected: bool,
+                   tol: float) -> list[tuple[float, float]]:
+    """Refined zeros of one profile whose full chord matrix matches."""
     amap = arc_length_map(norm)
-    circ = amap.circumference
+    circ = fp.circumference
     n = fp.n
     targets = np.arange(n) * (circ / n)
     if reflected:
         targets = -targets
     ref_row = fp.chords[0]
 
-    def row_mismatch(offset: float) -> float:
-        pts = amap.point_at(offset + targets)
-        row = norm(pts - pts[0])
-        return float(np.abs(row - ref_row).max())
+    def place(offsets: np.ndarray) -> np.ndarray:
+        return amap.point_at((offsets[:, None] + targets).ravel()).reshape(-1, n, 2)
 
-    grid_size = max(4 * n, 1024)
-    grid = np.linspace(0.0, circ, grid_size, endpoint=False)
-    profile = np.array([row_mismatch(g) for g in grid])
-    if np.all(profile <= tol):
-        return None
-    step = circ / grid_size
-    screen = max(10.0 * step, 20.0 * float(profile.min() + 1e-15))
-    screen = min(screen, 0.2)
+    def neg_row_mismatch(offsets: np.ndarray) -> np.ndarray:
+        pts = place(offsets)
+        rows = norm((pts - pts[:, :1]).reshape(-1, 2)).reshape(-1, n)
+        return -np.abs(rows - ref_row).max(axis=1)
+
+    step = circ / grid.size
+    screen = max(_SCREEN_GRID_STEPS * step,
+                 _SCREEN_OVER_MIN * float(profile.min() + _SCREEN_FLOOR))
+    screen = min(screen, _SCREEN_CAP)
     local_min = (profile <= np.roll(profile, 1)) & (profile <= np.roll(profile, -1))
-    candidates = np.where(local_min & (profile <= screen))[0]
+    centres = grid[local_min & (profile <= screen)]
+    if centres.size == 0:
+        return []
+    # the mismatch is V-shaped around each zero
+    offsets, values, converged = golden_max(neg_row_mismatch,
+                                            centres - step, centres + step)
+    if not converged.all():
+        k = int(np.argmin(converged))
+        raise RuntimeError(
+            f"offset refinement on the {norm.kind} sphere hit its iteration "
+            f"cap in bracket [{centres[k] - step!r}, {centres[k] + step!r}]")
+    # row 0 is part of the full check below
+    offsets = offsets[-values <= tol]
     found: list[tuple[float, float]] = []
-    for idx in candidates:
-        # the mismatch is V-shaped around each zero
-        offset, _ = golden_max(lambda w: -row_mismatch(w),
-                               float(grid[idx]) - step, float(grid[idx]) + step)
-        pts = amap.point_at(offset + targets)
+    for offset, pts in zip(offsets, place(offsets)):
         defect = float(np.abs(_chord_matrix(norm, pts) - fp.chords).max())
         if defect <= tol:
-            w = offset % circ
-            if w > circ - 1e-7 * circ:  # refined to just under a full turn
+            w = float(offset) % circ
+            if w > circ - _MERGE_RADIUS * circ:  # refined to just under a full turn
                 w = 0.0
             found.append((w, defect))
     found.sort()
     merged: list[tuple[float, float]] = []
     for w, defect in found:
         if merged and min(abs(w - merged[-1][0]),
-                          circ - abs(w - merged[-1][0])) < 1e-7 * circ:
+                          circ - abs(w - merged[-1][0])) < _MERGE_RADIUS * circ:
             continue
         merged.append((w, defect))
     if (len(merged) > 1
-            and (circ - merged[-1][0]) + merged[0][0] < 1e-7 * circ):
+            and (circ - merged[-1][0]) + merged[0][0] < _MERGE_RADIUS * circ):
         merged.pop()
     return merged
+
+
+def _self_alignment_scan(norm: Norm, fp: ChordFingerprint,
+                         tol: float) -> list[tuple[str, float, float]] | None:
+    """Zeros of the chord-profile mismatch over continuous arc offsets.
+
+    The mismatch of every offset on a grid finer than the samples comes from
+    one lag table (``_lag_profiles``), with no norm call per offset.
+    Returns ``None`` when the rotation or the reflection profile is within
+    ``tol`` at every grid offset (the symmetry is continuous).  Otherwise
+    the grid's local minima under a screen are refined together by one
+    batched golden-section search per orientation; a refined offset whose
+    row mismatch exceeds ``tol`` is dropped, and every other one is kept
+    when its full chord matrix matches within ``tol``.  Returns
+    ``(kind, offset, defect)`` triples, rotations then reflections, each
+    sorted by offset, ``defect`` being the full-matrix mismatch.
+    """
+    grid, rot, refl = _lag_profiles(norm, fp)
+    if np.all(rot <= tol) or np.all(refl <= tol):
+        return None
+    return [(kind, w, defect)
+            for kind, reflected, profile in (("rotation", False, rot),
+                                             ("reflection", True, refl))
+            for w, defect in _profile_zeros(norm, fp, grid, profile,
+                                            reflected, tol)]
 
 
 def isometry_group(norm: Norm, n: int = 512,
@@ -229,15 +321,10 @@ def isometry_group(norm: Norm, n: int = 512,
     """
     fp = fingerprint(norm, n)
     step = fp.circumference / n
-    rot = _self_alignment_scan(norm, fp, False, tol)
-    refl = _self_alignment_scan(norm, fp, True, tol)
-    continuous = rot is None or refl is None
-    elements: list[SymmetryElement] = []
-    if not continuous:
-        for kind, pairs in (("rotation", rot), ("reflection", refl)):
-            for off, defect in pairs:
-                elements.append(SymmetryElement(kind, off, off / step, defect))
-    order = None if continuous else len(elements)
+    found = _self_alignment_scan(norm, fp, tol)
+    continuous = found is None
+    elements = tuple(SymmetryElement(kind, off, off / step, defect)
+                     for kind, off, defect in found or ())
     n_rot = sum(1 for e in elements if e.kind == "rotation")
     n_refl = len(elements) - n_rot
     if continuous:
@@ -248,8 +335,8 @@ def isometry_group(norm: Norm, n: int = 512,
         pattern = f"cyclic-{n_rot}"
     else:
         pattern = "irregular"
-    return IsometryGroupSummary(norm.kind, n, order, continuous,
-                                tuple(elements), pattern)
+    return IsometryGroupSummary(norm.kind, n, None if continuous else len(elements),
+                                continuous, elements, pattern)
 
 
 _LIFT_NORM = RevolutionNorm(hexagonal_norm())

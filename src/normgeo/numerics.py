@@ -75,26 +75,43 @@ def bisect_first_true(pred: Callable[[float], bool], lo: float, hi: float,
     return hi
 
 
-def golden_max(f: Callable[[float], float], a: float, b: float,
-               *, max_iter: int = 90) -> tuple[float, float]:
-    """Golden-section maximisation of a locally unimodal function."""
+def golden_max(f: Callable[[np.ndarray], np.ndarray], a, b,
+               *, max_iter: int = 90) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Golden-section maximisation of locally unimodal functions, bracket-wise.
+
+    ``a`` and ``b`` are 1D arrays of bracket ends.  ``f`` maps an array of
+    abscissae to the array of values; each step calls it once, on the live
+    brackets only.  A bracket stops when its width falls below
+    ``1e-14 * (1 + |a| + |b|)``, so every bracket gives bit for bit the
+    result it gives alone.  Returns ``(x, f(x), converged)``, where
+    ``converged`` is False for the brackets still open after ``max_iter``
+    steps.
+    """
+    a = np.array(a, dtype=float, ndmin=1)
+    b = np.array(b, dtype=float, ndmin=1)
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
+    f1 = np.asarray(f(x1), dtype=float)
+    f2 = np.asarray(f(x2), dtype=float)
+
+    def open_brackets():  # a NaN bracket stays open
+        return ~(np.abs(b - a) < 1e-14 * (1.0 + np.abs(a) + np.abs(b)))
+
     for _ in range(max_iter):
-        if abs(b - a) < 1e-14 * (1.0 + abs(a) + abs(b)):
+        live = np.flatnonzero(open_brackets())
+        if live.size == 0:
             break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
-    if f1 >= f2:
-        return x1, f1
-    return x2, f2
+        right = f1[live] < f2[live]
+        up, down = live[right], live[~right]
+        a[up], x1[up], f1[up] = x1[up], x2[up], f2[up]
+        x2[up] = a[up] + _INVPHI * (b[up] - a[up])
+        b[down], x2[down], f2[down] = x2[down], x1[down], f1[down]
+        x1[down] = b[down] - _INVPHI * (b[down] - a[down])
+        fresh = f(np.where(right, x2[live], x1[live]))
+        f2[up] = fresh[right]
+        f1[down] = fresh[~right]
+    first = f1 >= f2
+    return np.where(first, x1, x2), np.where(first, f1, f2), ~open_brackets()
 
 
 def fit_quadratic(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:

@@ -7,7 +7,8 @@ from normgeo import (align, alignment_map_sample, antipodality_defect,
                      fingerprint, isometric_lift, isometry_group,
                      lift_affine_defect, lift_distance_defect,
                      lift_target_norm)
-from normgeo.norms import HEX_VERTICES
+from normgeo.charts import LinearImageNorm
+from normgeo.norms import HEX_VERTICES, PolygonNorm
 from normgeo.sphere import arc_length_map
 
 
@@ -197,6 +198,31 @@ def test_smooth_norm_fingerprint_spacing(p3):
         fine = amap.point_at(np.linspace(k * step, (k + 1) * step, 4096))
         gap = float(p3(np.diff(fine, axis=0)).sum())
         assert abs(gap - step) < 1e-9
+
+
+def _unimodular(rng):
+    """A determinant-1 matrix ``R(a) diag(s, 1/s) R(b)``, ``s`` in [0.7, 1.4]."""
+    a, b = rng.uniform(0.0, math.pi, size=2)
+    s = rng.uniform(0.7, 1.4)
+
+    def rot(t):
+        return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    return rot(a) @ np.diag([s, 1.0 / s]) @ rot(b)
+
+
+@pytest.mark.parametrize("n", [130, 256])
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_isometric_images_keep_the_group(seed, n, hexn, p3):
+    rng = np.random.default_rng(seed)
+    a, b = _unimodular(rng), _unimodular(rng)
+    hex_image = PolygonNorm(tuple(map(tuple, np.asarray(HEX_VERTICES) @ a.T)))
+    p3_image = LinearImageNorm(p3, tuple(map(tuple, b)))
+    for source, image in ((hexn, hex_image), (p3, p3_image)):
+        want = isometry_group(source, n)
+        got = isometry_group(image, n)
+        assert (got.order, got.pattern) == (want.order, want.pattern)
+        assert not got.continuous
+        assert max(e.defect for e in got.elements) <= 1e-6
 
 
 # -- plane-into-revolution lift ----------------------------------------------
