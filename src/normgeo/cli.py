@@ -108,7 +108,7 @@ def _cmd_curvature(args) -> int:
 def _cmd_modulus(args) -> int:
     norm = _load_norm(args.norm)
     eps = np.linspace(0.1, 2.0, args.steps)
-    curve = modulus_curve(norm, eps, resolution=args.samples or 512)
+    curve = modulus_curve(norm, eps, resolution=512 if args.samples is None else args.samples)
     if args.csv:
         _write_csv(args.csv, ["eps", "delta"], curve.samples)
     _emit({"schema": SCHEMA, **curve.to_json()}, args.out)

@@ -3,8 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from normgeo import (LensNorm, convexity, isometry, isometry_group,
-                     modulus_of_convexity)
+from normgeo import isometry, isometry_group
 from normgeo.numerics import golden_max
 
 
@@ -53,8 +52,5 @@ def test_golden_max_reports_the_iteration_cap():
 def test_capped_refinements_raise(monkeypatch, hexn):
     capped = functools.partial(golden_max, max_iter=5)
     monkeypatch.setattr(isometry, "golden_max", capped)
-    monkeypatch.setattr(convexity, "golden_max", capped)
     with pytest.raises(RuntimeError, match="hexagonal sphere"):
         isometry_group(hexn, 64)
-    with pytest.raises(RuntimeError, match="lens sphere"):
-        modulus_of_convexity(LensNorm(), 1.0, 128)

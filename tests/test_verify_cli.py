@@ -69,6 +69,11 @@ def test_cli_modulus_csv(tmp_path, capsys):
     assert len(lines) == 6
 
 
+def test_cli_modulus_rejects_a_coarse_grid():
+    assert main(["modulus", "--norm", "p3", "--steps", "3", "--samples", "2"]) == 2
+    assert main(["modulus", "--norm", "p3", "--steps", "3", "--samples", "0"]) == 2
+
+
 def test_cli_bisector_and_dset(capsys):
     rc = main(["bisector", "--norm", "hexagonal", "--angle", "0"])
     assert rc == 0
