@@ -47,6 +47,15 @@ class LinearImageNorm(Norm):
     def _gauge(self, batch):
         return self.base._gauge(batch @ self._matrix_arr.T)
 
+    def corner_angles(self):
+        """The base's corners carried back by ``B^-1``: ``v`` is a corner
+        direction exactly when ``B v`` is one of the base."""
+        base = np.asarray(self.base.corner_angles(), dtype=float)
+        if base.size == 0:
+            return ()
+        v = np.linalg.solve(self._matrix_arr, np.vstack([np.cos(base), np.sin(base)]))
+        return tuple(sorted(float(a) for a in np.mod(np.arctan2(v[1], v[0]), TWO_PI)))
+
     def payload(self):
         raise TypeError("chart-induced norms are not serialisable")
 
@@ -241,8 +250,9 @@ def four_distance_injectivity(norm: Norm, u1, u2, resolution: int = 4096,
     stays within the best gap found so far.
 
     Raises ``ValueError`` when no sample pair is far apart, when ``u1`` or
-    ``u2`` is not a finite 2D vector or makes a distance overflow, and when
-    ``tol`` is negative or NaN.
+    ``u2`` is not a finite 2D vector or is so long that its distances
+    overflow or do not vary over the sphere, and when ``tol`` is negative or
+    NaN.
     """
     if norm.dim != 2:
         raise ValueError("the scan works on 2D spheres")
@@ -262,9 +272,11 @@ def four_distance_injectivity(norm: Norm, u1, u2, resolution: int = 4096,
     pts = radial_points_vec(norm, thetas)
     tuples = np.column_stack([
         norm(pts + a), norm(pts - a), norm(pts + b), norm(pts - b)])
-    if not np.isfinite(tuples).all():
-        raise ValueError(f"distances to +-u1, +-u2 overflow: u1 {u1!r}, u2 {u2!r} "
-                         f"are too long for this norm")
+    for name, u, dist in (("u1", u1, tuples[:, :2]), ("u2", u2, tuples[:, 2:])):
+        # a real distance to +-u varies over the sphere; a constant one is rounding
+        if not (np.isfinite(dist).all() and (dist.max(axis=0) > dist.min(axis=0)).all()):
+            raise ValueError(f"{name} {u!r} is too long for this norm: the distances "
+                             f"to +-{name} overflow or round the sphere away")
     # pairs exactly m + 1 steps apart are always far apart: they seed the bound
     idx = np.arange(n)
     partner = (idx + m + 1) % n

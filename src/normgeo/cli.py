@@ -68,9 +68,14 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _samples(args, default: int) -> int:
+    """``--samples`` when given, even if invalid (its consumer rejects it)."""
+    return default if args.samples is None else args.samples
+
+
 def _cmd_verify(args) -> int:
     report = run_reference_checks(seed=args.seed,
-                                  ridge_samples=args.samples or 360)
+                                  ridge_samples=_samples(args, 360))
     for claim in report.claims:
         status = "ok" if claim.passed else "FAIL"
         print(f"[{status}] {claim.claim_id}: computed {claim.computed!r} "
@@ -108,7 +113,7 @@ def _cmd_curvature(args) -> int:
 def _cmd_modulus(args) -> int:
     norm = _load_norm(args.norm)
     eps = np.linspace(0.1, 2.0, args.steps)
-    curve = modulus_curve(norm, eps, resolution=512 if args.samples is None else args.samples)
+    curve = modulus_curve(norm, eps, resolution=_samples(args, 512))
     if args.csv:
         _write_csv(args.csv, ["eps", "delta"], curve.samples)
     _emit({"schema": SCHEMA, **curve.to_json()}, args.out)
@@ -136,7 +141,7 @@ def _cmd_dset(args) -> int:
 
 def _cmd_fingerprint(args) -> int:
     norm = _load_norm(args.norm)
-    fp = fingerprint(norm, args.samples or 256)
+    fp = fingerprint(norm, _samples(args, 256))
     if args.csv:
         _write_csv(args.csv, [f"c{j}" for j in range(fp.n)], fp.chords.tolist())
     _emit({
@@ -150,7 +155,7 @@ def _cmd_fingerprint(args) -> int:
 
 def _cmd_validate(args) -> int:
     norm = _load_norm(args.norm)
-    report = validate_norm(norm, args.samples or 1000, seed=args.seed)
+    report = validate_norm(norm, _samples(args, 1000), seed=args.seed)
     _emit({"schema": SCHEMA, **report.to_json()}, args.out)
     return 0 if report.passed else 1
 
@@ -158,7 +163,7 @@ def _cmd_validate(args) -> int:
 def _cmd_isometry(args) -> int:
     norm_a = _load_norm(args.norm_a)
     norm_b = _load_norm(args.norm_b)
-    n = args.samples or 256
+    n = _samples(args, 256)
     fp_a = fingerprint(norm_a, n)
     fp_b = fingerprint(norm_b, n)
     found = align(fp_a, fp_b, args.tol)
@@ -172,12 +177,9 @@ def _cmd_isometry(args) -> int:
             "antipodality_defect": antipodality_defect(sample),
         }
         k = n // 4
-        basis_x = [fp_a.points[0], fp_a.points[k]]
-        perm = alignment.permutation(n)
-        basis_y = [fp_b.points[perm[0]], fp_b.points[perm[k]]]
         try:
-            chart_x = make_chart(norm_a, basis_x)
-            chart_y = make_chart(norm_b, basis_y)
+            chart_x = make_chart(norm_a, [fp_a.points[0], fp_a.points[k]])
+            chart_y = make_chart(norm_b, [sample.images[0], sample.images[k]])
             record["linearity_defect"] = linearity_defect(
                 sample, chart_x, chart_y).max_defect
         except ValueError:

@@ -1,15 +1,19 @@
 """Numeric search for isometries between 2D unit spheres.
 
 A sphere is fingerprinted by sampling it at equal own-norm arc-length steps
-and recording the full pairwise chord matrix.  Isometries between two spheres
-then appear as sample permutations (an integer shift, possibly reflected)
-that leave the chord matrix invariant.  The self-isometry group is recovered
-by the same test run over continuous arc offsets, so symmetries whose order
-does not divide the sample count are still found: a lag table of distances
-between points of a grid finer than the samples gives the row-0 mismatch of
-every grid offset at once, for rotations and reflections alike, and the
+and recording the full pairwise chord matrix.  An isometry between two
+spheres preserves own-norm arc length, so it moves the samples of one sphere
+to points of the other at a common arc offset, possibly reflected, and
+leaves the chord matrix invariant.  One scan finds these offsets, between
+two spheres and, with both the same, in the self-isometry group: a lag table
+of distances between points of a grid finer than the samples of the second
+sphere gives the mismatch against row 0 of the first sphere's chord matrix
+at every grid offset at once, for rotations and reflections alike, and the
 grid's local minima are refined together by one batched golden-section
-search before each survivor's full chord matrix is checked.
+search before each survivor's full chord matrix is checked.  Offsets need
+not be whole sample steps, so symmetries whose order does not divide the
+sample count are found, and so are isometries that do not carry the first
+sphere's samples onto the second's.
 """
 
 from __future__ import annotations
@@ -58,6 +62,11 @@ _SCREEN_CAP = 0.2
 # element: brackets from adjacent grid minima converge to the same zero to
 # ~1e-12, and distinct elements lie a circumference over the order apart.
 _MERGE_RADIUS = 1e-7
+# A refined offset within this many sample steps of a whole step is that
+# sample shift: the offsets of sample-aligned isometries refine to within
+# ~1e-12 steps of it (diamond onto square, 64 to 1000 samples).  Distinct
+# elements, _MERGE_RADIUS of the circumference apart, never snap to one shift.
+_SHIFT_SNAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -99,56 +108,72 @@ def fingerprint(norm: Norm, n: int) -> ChordFingerprint:
 
 @dataclass(frozen=True)
 class Alignment:
-    """A sample permutation matching two fingerprints: ``i -> shift +- i``."""
+    """An isometry of two fingerprints: sample ``i -> shift +- i``.
 
-    shift: int
+    ``shift`` counts sample steps along the second sphere.  It is an ``int``
+    when the map carries samples onto samples, otherwise a float.
+    """
+
+    shift: int | float
     reflected: bool
     defect: float
 
     def permutation(self, n: int) -> np.ndarray:
+        if not isinstance(self.shift, int):
+            raise ValueError(f"shift {self.shift!r} is fractional: it permutes no samples")
+        return self._steps(n)
+
+    def _steps(self, n: int) -> np.ndarray:
+        """Image of each sample, in sample steps along the second sphere."""
         idx = np.arange(n)
-        if self.reflected:
-            return (self.shift - idx) % n
-        return (self.shift + idx) % n
+        return (self.shift - idx if self.reflected else self.shift + idx) % n
 
 
 def align(fp_x: ChordFingerprint, fp_y: ChordFingerprint,
           tol: float = DEFAULT_TOLS.chord_match) -> list[Alignment]:
-    """All (shift, reflected) permutations matching the two chord matrices.
+    """Every isometry between the two sampled spheres, both orientations.
 
-    The tolerance is scaled by chord magnitude entrywise.  Candidates are
-    screened on their first row before the full matrix comparison.
+    The arc offsets come from the scan that ``isometry_group`` runs, with
+    ``fp_y``'s sphere in place of ``fp_x``'s.  An offset within a millionth
+    of a sample step of a whole step is reported as that integer shift, its
+    defect measured again on the two chord matrices.  When every offset of
+    an orientation matches (a round sphere and its linear images), every
+    sample shift of both orientations is checked on the chord matrices
+    instead.  ``defect`` is the largest entrywise chord mismatch, at most
+    ``tol``; spheres whose circumferences differ by more than ``tol`` times
+    the circumference have no alignment.
     """
     if fp_x.n != fp_y.n:
         raise ValueError(f"sample counts differ: {fp_x.n} vs {fp_y.n}")
     n = fp_x.n
-    dx, dy = fp_x.chords, fp_y.chords
-    allowance = tol * (1.0 + dx)
-    row_allow = allowance[0]
-    shifts = np.arange(n)
-    j = np.arange(n)
+    step = fp_y.circumference / n
+    found = _offset_scan(fp_x, fp_y, tol)
+    if found is None:
+        found = [(refl, s * step, 0.0) for refl in (False, True) for s in range(n)]
     out: list[Alignment] = []
-    for reflected in (False, True):
-        if reflected:
-            rows = dy[shifts[:, None], (shifts[:, None] - j[None, :]) % n]
-        else:
-            rows = dy[shifts[:, None], (shifts[:, None] + j[None, :]) % n]
-        survivors = np.where(np.all(np.abs(rows - dx[0]) <= row_allow, axis=1))[0]
-        for s in survivors:
-            perm = Alignment(int(s), reflected, 0.0).permutation(n)
-            gap = np.abs(dy[np.ix_(perm, perm)] - dx)
-            if np.all(gap <= allowance):
-                out.append(Alignment(int(s), reflected, float(gap.max())))
+    for reflected, offset, defect in found:
+        shift = offset / step
+        if abs(shift - round(shift)) <= _SHIFT_SNAP:
+            shift = round(shift) % n
+            perm = Alignment(shift, reflected, 0.0).permutation(n)
+            defect = float(np.abs(fp_y.chords[np.ix_(perm, perm)] - fp_x.chords).max())
+            if defect > tol:
+                continue
+        out.append(Alignment(shift, reflected, defect))
     out.sort(key=lambda a: (a.reflected, a.shift))
     return out
 
 
 def alignment_map_sample(fp_x: ChordFingerprint, fp_y: ChordFingerprint,
                          alignment: Alignment) -> SphereMapSample:
-    """The sphere map induced by an alignment, ready for defect measurements."""
-    perm = alignment.permutation(fp_x.n)
-    return SphereMapSample(fp_x.norm, fp_y.norm, fp_x.points, fp_y.points[perm],
-                           tol=_MAP_SAMPLE_TOL)
+    """The sphere map induced by an alignment, ready for defect measurements.
+
+    Sample ``i`` of ``fp_x`` goes to arc ``shift +- i`` sample steps along
+    ``fp_y``'s sphere; for an integer shift these are ``fp_y``'s samples.
+    """
+    arcs = alignment._steps(fp_x.n) * (fp_y.circumference / fp_x.n)
+    return SphereMapSample(fp_x.norm, fp_y.norm, fp_x.points,
+                           arc_length_map(fp_y.norm).point_at(arcs), tol=_MAP_SAMPLE_TOL)
 
 
 @dataclass(frozen=True)
@@ -190,24 +215,24 @@ class IsometryGroupSummary:
         }
 
 
-def _lag_profiles(norm: Norm, fp: ChordFingerprint):
+def _lag_profiles(fp_x: ChordFingerprint, fp_y: ChordFingerprint):
     """Row mismatch of every grid offset, for rotations and for reflections.
 
-    The grid has ``m = r * n`` offsets, ``r`` the smallest integer with
-    ``m >= max(4n, 1024)``, so an offset plus a sample step is again a grid
-    offset.  The grid points ``q`` are placed once; the lag table
-    ``|q[i + r k] - q[i]|`` against row 0 of the chord matrix gives the
-    rotation profile, and the same table read at rows ``i - r k`` gives the
-    reflection profile, the norm being symmetric.  The table is built
-    ``n / 2`` rows per norm call, so its blocks stay below the memory one
-    chord matrix takes.
+    The grid has ``m = r * n`` offsets along ``fp_y``'s sphere, ``r`` the
+    smallest integer with ``m >= max(4n, 1024)``, so an offset plus a sample
+    step is again a grid offset.  The grid points ``q`` are placed once; the
+    lag table ``|q[i + r k] - q[i]|`` against row 0 of ``fp_x``'s chord
+    matrix gives the rotation profile, and the same table read at rows
+    ``i - r k`` gives the reflection profile, the norm being symmetric.  The
+    table is built ``n / 2`` rows per norm call, so its blocks stay below
+    the memory one chord matrix takes.
 
     Returns ``(grid, rotation_profile, reflection_profile)``.
     """
-    n = fp.n
+    norm, n = fp_y.norm, fp_y.n
     r = max(4, -(-1024 // n))
     m = r * n
-    grid = np.linspace(0.0, fp.circumference, m, endpoint=False)
+    grid = np.linspace(0.0, fp_y.circumference, m, endpoint=False)
     q = arc_length_map(norm).point_at(grid)
     lags = r * np.arange(n)
     cols = np.arange(n)
@@ -217,7 +242,7 @@ def _lag_profiles(norm: Norm, fp: ChordFingerprint):
         rows = np.arange(lo, lo + block)[:, None]
         diff = q[(rows + lags) % m] - q[rows]
         dev[lo:lo + block] = norm(diff.reshape(-1, 2)).reshape(block, n)
-    dev -= fp.chords[0]
+    dev -= fp_x.chords[0]
     np.abs(dev, out=dev)
     flipped = np.empty(m)
     for lo in range(0, m, block):
@@ -226,17 +251,17 @@ def _lag_profiles(norm: Norm, fp: ChordFingerprint):
     return grid, dev.max(axis=1), flipped
 
 
-def _profile_zeros(norm: Norm, fp: ChordFingerprint, grid: np.ndarray,
-                   profile: np.ndarray, reflected: bool,
+def _profile_zeros(fp_x: ChordFingerprint, fp_y: ChordFingerprint,
+                   grid: np.ndarray, profile: np.ndarray, reflected: bool,
                    tol: float) -> list[tuple[float, float]]:
     """Refined zeros of one profile whose full chord matrix matches."""
+    norm, n = fp_y.norm, fp_y.n
     amap = arc_length_map(norm)
-    circ = fp.circumference
-    n = fp.n
+    circ = fp_y.circumference
     targets = np.arange(n) * (circ / n)
     if reflected:
         targets = -targets
-    ref_row = fp.chords[0]
+    ref_row = fp_x.chords[0]
 
     def place(offsets: np.ndarray) -> np.ndarray:
         return amap.point_at((offsets[:, None] + targets).ravel()).reshape(-1, n, 2)
@@ -266,7 +291,7 @@ def _profile_zeros(norm: Norm, fp: ChordFingerprint, grid: np.ndarray,
     offsets = offsets[-values <= tol]
     found: list[tuple[float, float]] = []
     for offset, pts in zip(offsets, place(offsets)):
-        defect = float(np.abs(_chord_matrix(norm, pts) - fp.chords).max())
+        defect = float(np.abs(_chord_matrix(norm, pts) - fp_x.chords).max())
         if defect <= tol:
             w = float(offset) % circ
             if w > circ - _MERGE_RADIUS * circ:  # refined to just under a full turn
@@ -285,29 +310,31 @@ def _profile_zeros(norm: Norm, fp: ChordFingerprint, grid: np.ndarray,
     return merged
 
 
-def _self_alignment_scan(norm: Norm, fp: ChordFingerprint,
-                         tol: float) -> list[tuple[str, float, float]] | None:
-    """Zeros of the chord-profile mismatch over continuous arc offsets.
+def _offset_scan(fp_x: ChordFingerprint, fp_y: ChordFingerprint,
+                 tol: float) -> list[tuple[bool, float, float]] | None:
+    """Arc offsets of ``fp_y``'s sphere at which it matches ``fp_x``.
 
-    The mismatch of every offset on a grid finer than the samples comes from
-    one lag table (``_lag_profiles``), with no norm call per offset.
-    Returns ``None`` when the rotation or the reflection profile is within
-    ``tol`` at every grid offset (the symmetry is continuous).  Otherwise
-    the grid's local minima under a screen are refined together by one
-    batched golden-section search per orientation; a refined offset whose
-    row mismatch exceeds ``tol`` is dropped, and every other one is kept
-    when its full chord matrix matches within ``tol``.  Returns
-    ``(kind, offset, defect)`` triples, rotations then reflections, each
-    sorted by offset, ``defect`` being the full-matrix mismatch.
+    An isometry preserves own-norm length, so circumferences that differ by
+    more than ``tol`` times the circumference give no offset at all.  The
+    mismatch of every offset on a grid finer than the samples comes from one
+    lag table (``_lag_profiles``), with no norm call per offset.  Returns
+    ``None`` when the rotation or the reflection profile is within ``tol`` at
+    every grid offset (the symmetry is continuous).  Otherwise the grid's
+    local minima under a screen are refined together by one batched
+    golden-section search per orientation; a refined offset whose row
+    mismatch exceeds ``tol`` is dropped, and every other one is kept when its
+    full chord matrix matches within ``tol``.  Returns ``(reflected, offset,
+    defect)`` triples, rotations then reflections, each sorted by offset,
+    ``defect`` being the full-matrix mismatch.
     """
-    grid, rot, refl = _lag_profiles(norm, fp)
+    if abs(fp_x.circumference - fp_y.circumference) > tol * fp_x.circumference:
+        return []
+    grid, rot, refl = _lag_profiles(fp_x, fp_y)
     if np.all(rot <= tol) or np.all(refl <= tol):
         return None
-    return [(kind, w, defect)
-            for kind, reflected, profile in (("rotation", False, rot),
-                                             ("reflection", True, refl))
-            for w, defect in _profile_zeros(norm, fp, grid, profile,
-                                            reflected, tol)]
+    return [(reflected, w, defect)
+            for reflected, profile in ((False, rot), (True, refl))
+            for w, defect in _profile_zeros(fp_x, fp_y, grid, profile, reflected, tol)]
 
 
 def isometry_group(norm: Norm, n: int = 512,
@@ -321,10 +348,10 @@ def isometry_group(norm: Norm, n: int = 512,
     """
     fp = fingerprint(norm, n)
     step = fp.circumference / n
-    found = _self_alignment_scan(norm, fp, tol)
+    found = _offset_scan(fp, fp, tol)
     continuous = found is None
-    elements = tuple(SymmetryElement(kind, off, off / step, defect)
-                     for kind, off, defect in found or ())
+    elements = tuple(SymmetryElement(("rotation", "reflection")[refl], off, off / step, defect)
+                     for refl, off, defect in found or ())
     n_rot = sum(1 for e in elements if e.kind == "rotation")
     n_refl = len(elements) - n_rot
     if continuous:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,6 +38,48 @@ def _as_batch(v, dim: int) -> tuple[np.ndarray, bool]:
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise ValueError(f"expected vectors of dimension {dim}, got shape {arr.shape}")
     return arr, False
+
+
+_TINY = float(np.finfo(float).tiny)
+_HUGE = float(np.finfo(float).max)
+# s ** fl(1/p) is off by |ln r| * 2^-53 relative at a result r, the rounding
+# of 1/p; below 2^100 in magnitude that is at most 7.7e-15
+_POWER_RANGE = 2.0 ** 100
+
+
+@lru_cache(maxsize=None)
+def _power_window(dim: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(small, big)`` of ``_power_sum_root``, as 0-d arrays (faster to compare)."""
+    small = max((dim * _TINY) ** (1.0 / p), 1.0 / _POWER_RANGE)
+    big = min((_HUGE / dim) ** (1.0 / p), _POWER_RANGE)
+    return np.array(small), np.array(big)
+
+
+def _power_sum_root(a: np.ndarray, p: float) -> np.ndarray:
+    """``(sum_i a_i^p)^(1/p)`` of each row of the nonnegative ``a``, ``p > 1``.
+
+    A row is summed as it stands while every power that matters is a normal
+    float and the root is accurate: no entry exceeds ``big``, checked before
+    the powers so that none overflows, and the result is zero or at least
+    ``small``, checked after, so that the largest power did not underflow.
+    The bounds are ``(huge / dim)^(1/p)`` and ``(dim * tiny)^(1/p)``, kept
+    within ``2^-100 .. 2^100``.  Any other row is divided by its largest
+    entry, summed and scaled back.  For ``p = 2``, ``x ** 2.0`` and
+    ``x ** 0.5`` are bit for bit the square and the square root.
+    """
+    small, big = _power_window(a.shape[1], p)
+    if not np.count_nonzero(a > big):
+        out = (a ** p).sum(axis=1) ** (1.0 / p)
+        low = out < small
+        if not np.count_nonzero(low) or not a[low].any():  # zero rows are exact
+            return out
+    with np.errstate(over="ignore", under="ignore"):
+        out = (a ** p).sum(axis=1) ** (1.0 / p)
+        top = a.max(axis=1)
+        redo = (top > big) | ((out < small) & (top > 0.0))  # NaN rows stay NaN
+        scale = np.where(np.isfinite(top), top, 1.0)[redo]
+        out[redo] = scale * ((a[redo] / scale[:, None]) ** p).sum(axis=1) ** (1.0 / p)
+    return out
 
 
 class Norm:
@@ -84,9 +127,7 @@ class PNorm(Norm):
             return a.max(axis=1)
         if self.p == 1.0:
             return a.sum(axis=1)
-        if self.p == 2.0:
-            return np.sqrt((a * a).sum(axis=1))
-        return (a ** self.p).sum(axis=1) ** (1.0 / self.p)
+        return _power_sum_root(a, self.p)
 
     def corner_angles(self):
         if self.dim != 2:
@@ -116,7 +157,7 @@ class EuclideanNorm(Norm):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
 
     def _gauge(self, batch):
-        return self.scale * np.sqrt((batch * batch).sum(axis=1))
+        return self.scale * _power_sum_root(np.abs(batch), 2.0)
 
     def payload(self):
         return {"scale": self.scale, "dim": self.dim}
@@ -194,7 +235,10 @@ class PolygonNorm(Norm):
         object.__setattr__(self, "_vertex_array", arr)
 
     def _gauge(self, batch):
-        return np.abs(batch @ self._functionals.T).max(axis=1)
+        # one functional per row, so the max runs down the long axis
+        vals = self._functionals @ batch.T
+        np.abs(vals, out=vals)
+        return vals.max(axis=0)
 
     def vertex_array(self) -> np.ndarray:
         return self._vertex_array.copy()

@@ -218,6 +218,8 @@ def _check_diametral_star(claims: list[ClaimResult]) -> None:
 def run_reference_checks(seed: int = 0, *, ridge_samples: int = 360,
                          closure_pairs: int = 128) -> VerificationReport:
     """Recompute every built-in reference value and report pass/fail."""
+    if ridge_samples < 1:
+        raise ValueError(f"ridge_samples must be positive, got {ridge_samples}")
     rng = np.random.default_rng(seed)
     claims: list[ClaimResult] = []
     _check_maxnorm_table(claims)

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from normgeo import (align, alignment_map_sample, antipodality_defect,
+from normgeo import (PNorm, align, alignment_map_sample, antipodality_defect,
                      fingerprint, isometric_lift, isometry_group,
                      lift_affine_defect, lift_distance_defect,
-                     lift_target_norm)
+                     lift_target_norm, linearity_defect, make_chart)
 from normgeo.charts import LinearImageNorm
 from normgeo.norms import HEX_VERTICES, PolygonNorm
 from normgeo.sphere import arc_length_map
@@ -93,6 +93,43 @@ def test_identity_alignment_always_present(hexn, lens):
         found = align(fp, fp)
         assert any(a.shift == 0 and not a.reflected and a.defect <= 1e-12
                    for a in found)
+
+
+HEX_IMAGE_MATRIX = np.array([[1.3, 0.4], [-0.2, 0.9]])
+
+
+def _linearity(fx, fy, alignment):
+    """Linearity defect of an alignment, charted on samples 0 and n/4."""
+    sample = alignment_map_sample(fx, fy, alignment)
+    k = fx.n // 4
+    chart_x = make_chart(fx.norm, [fx.points[0], fx.points[k]])
+    chart_y = make_chart(fy.norm, [sample.images[0], sample.images[k]])
+    return linearity_defect(sample, chart_x, chart_y).max_defect
+
+
+def test_hexagon_aligns_with_its_linear_image(hexn):
+    image = PolygonNorm(tuple(map(tuple, np.asarray(HEX_VERTICES) @ HEX_IMAGE_MATRIX.T)))
+    fx, fy = fingerprint(hexn, 256), fingerprint(image, 256)
+    found = align(fx, fy)
+    assert len(found) == 12
+    assert sum(a.reflected for a in found) == 6
+    assert max(a.defect for a in found) <= 1e-9
+    for alignment in found:
+        # the isometries carry no sample of one sphere onto one of the other
+        assert not isinstance(alignment.shift, int)
+        with pytest.raises(ValueError, match="shift"):
+            alignment.permutation(fx.n)
+        assert _linearity(fx, fy, alignment) <= 1e-9
+
+
+def test_integer_alignments_map_samples_to_samples(diamond, square):
+    fx, fy = fingerprint(diamond, 128), fingerprint(square, 128)
+    found = align(fx, fy)
+    assert len(found) == 8
+    for alignment in found:
+        assert type(alignment.shift) is int and alignment.defect <= 1e-12
+        images = alignment_map_sample(fx, fy, alignment).images
+        assert np.array_equal(images, fy.points[alignment.permutation(fx.n)])
 
 
 def test_alignment_count_mismatch_raises(euclid, hexn):
@@ -223,6 +260,38 @@ def test_isometric_images_keep_the_group(seed, n, hexn, p3):
         assert (got.order, got.pattern) == (want.order, want.pattern)
         assert not got.continuous
         assert max(e.defect for e in got.elements) <= 1e-6
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_linear_images_align_with_their_source(seed, euclid, p3, square,
+                                               diamond, hexn, lens):
+    rng = np.random.default_rng(seed)
+    for norm in (euclid, p3, PNorm(1.5, 2), square, diamond, hexn, lens):
+        image = LinearImageNorm(norm, tuple(map(tuple, _unimodular(rng))))
+        fx, fy = fingerprint(norm, 128), fingerprint(image, 128)
+        group = isometry_group(norm, 128)
+        found = align(fx, fy)
+        assert len(found) == (2 * 128 if group.continuous else group.order), norm.kind
+        assert max(_linearity(fx, fy, a) for a in found) <= 1e-6, norm.kind
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_linear_images_keep_the_corners(seed, lens):
+    a = _unimodular(np.random.default_rng(seed))
+    l1_image = LinearImageNorm(PNorm(1.0, 2), tuple(map(tuple, a)))
+    lens_image = LinearImageNorm(lens, tuple(map(tuple, a)))
+    for image in (l1_image, lens_image):
+        # B carries each corner direction onto a corner direction of the base
+        corners = np.asarray(image.corner_angles())
+        base = np.asarray(image.base.corner_angles())
+        assert corners.size == base.size
+        carried = a @ np.vstack([np.cos(corners), np.sin(corners)])
+        turn = np.arctan2(carried[1], carried[0])[:, None] - base[None, :]
+        assert np.abs(np.mod(turn + math.pi, 2 * math.pi) - math.pi).min(axis=1).max() < 1e-12
+    assert isometry_group(l1_image, 128).order == 8
+    assert arc_length_map(l1_image).circumference == pytest.approx(8.0, abs=1e-9)
+    lens_length = arc_length_map(lens).circumference
+    assert arc_length_map(lens_image).circumference == pytest.approx(lens_length, abs=1e-7)
 
 
 # -- plane-into-revolution lift ----------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from normgeo import (EuclideanNorm, HexagonalNorm, LensNorm, PNorm,
                      builtin_norm, diamond_norm, eval_norm, hexagonal_norm,
                      lift_target_norm, norm_from_json, radial_point,
                      sphere_point, square_norm, validate_norm)
-from normgeo.norms import radial_points_vec
+from normgeo.norms import HEX_VERTICES, radial_points_vec
 
 
 def test_hexagonal_vertex_values(hexn):
@@ -109,6 +110,59 @@ def test_positive_homogeneity(shipped_2d, v, lam):
 def test_symmetry_is_exact(shipped_2d, v):
     for norm in shipped_2d:
         assert norm(-v) == norm(v)
+
+
+def test_polygon_gauge_matches_the_row_max_bit_for_bit(hexn, square):
+    image = PolygonNorm(tuple(map(tuple, np.asarray(HEX_VERTICES)
+                                  @ np.array([[1.3, 0.4], [-0.2, 0.9]]).T)))
+    rng = np.random.default_rng(4)
+    batch = rng.normal(size=(4096, 2)) * np.exp(rng.uniform(-20, 20, size=(4096, 1)))
+    batch[7] = [math.nan, 1.0]
+    for norm in (square, hexn, image):
+        def row_max(vectors):  # the reference: a row max over the face functionals
+            return np.abs(np.atleast_2d(vectors) @ norm._functionals.T).max(axis=1)
+        assert np.array_equal(norm(batch), row_max(batch), equal_nan=True)
+        singles = np.array([norm(v) for v in batch[:64]])
+        want = np.array([row_max(v)[0] for v in batch[:64]])
+        assert np.array_equal(singles, want, equal_nan=True)
+        assert math.isnan(singles[7])
+
+
+POWER_NORMS = (EuclideanNorm(), EuclideanNorm(scale=2.5), PNorm(2.0, 2),
+               PNorm(3.0, 2), PNorm(1.5, 2), PNorm(3.0, 3), EuclideanNorm(dim=3))
+
+
+def test_power_gauges_neither_overflow_nor_underflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert EuclideanNorm()([1e200, 0.0]) == 1e200
+        assert PNorm(3.0, 2)([1e110, 0.0]) == 1e110
+        assert PNorm(3.0, 2)([1e-120, 0.0]) == 1e-120
+        assert PNorm(1.5, 2)([-1e300, 0.0]) == 1e300
+        assert EuclideanNorm()([0.0, 0.0]) == 0.0
+        batch = np.array([[1e200, 1e200], [3.0, 4.0], [0.0, 0.0], [math.nan, 1.0],
+                          [math.inf, 1.0], [1e-300, 0.0]])
+        got = EuclideanNorm()(batch)
+    assert got[1] == 5.0 and got[2] == 0.0 and math.isnan(got[3])
+    assert got[4] == math.inf and got[5] == 1e-300
+    assert got[0] == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=st.floats(0.0, 2 * math.pi), e=st.floats(-300.0, 300.0),
+       f=st.floats(-300.0, 300.0))
+def test_power_gauges_are_homogeneous_over_the_float_range(theta, e, f):
+    u = np.array([math.cos(theta), math.sin(theta), 0.5])
+    for norm in POWER_NORMS:
+        v = u[:norm.dim]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a, b = norm(10.0 ** e * v), norm(10.0 ** f * v)
+            rows = norm(np.stack([10.0 ** e * v, 10.0 ** f * v, 0.0 * v]))
+        assert math.isfinite(a) and a > 0.0, (norm, e)
+        assert abs(a / 10.0 ** e - b / 10.0 ** f) <= 1e-14 * (a / 10.0 ** e), (norm, e, f)
+        # a row's value does not depend on the rows it is batched with
+        assert rows.tolist() == [a, b, 0.0]
 
 
 def test_symmetry_exact_in_3d():

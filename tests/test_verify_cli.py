@@ -6,6 +6,7 @@ import pytest
 
 from normgeo import run_reference_checks
 from normgeo.cli import main
+from normgeo.norms import HEX_VERTICES
 
 
 def test_reference_checks_pass():
@@ -120,6 +121,31 @@ def test_cli_isometry_between_files(tmp_path, capsys):
     assert best <= 1e-9
     for record in payload["alignments"]:
         assert record["antipodality_defect"] <= 1e-9
+        # l1 -> linf carries samples onto samples
+        assert type(record["shift"]) is int
+
+
+def test_cli_isometry_finds_a_linear_image_of_the_hexagon(tmp_path, capsys):
+    image = tmp_path / "hex_image.json"
+    verts = np.asarray(HEX_VERTICES) @ np.array([[1.3, 0.4], [-0.2, 0.9]]).T
+    image.write_text(json.dumps({"kind": "polygon", "vertices": verts.tolist()}))
+    assert main(["isometry", "--normA", "hexagonal", "--normB", str(image)]) == 0
+    records = json.loads(capsys.readouterr().out)["alignments"]
+    assert len(records) == 12
+    assert max(r["defect"] for r in records) <= 1e-9
+    assert max(r["linearity_defect"] for r in records) <= 1e-9
+
+
+@pytest.mark.parametrize("argv, samples, message", [
+    (["verify"], "0", "ridge_samples"),
+    (["verify"], "-3", "ridge_samples"),
+    (["fingerprint", "--norm", "hexagonal"], "0", "sample count"),
+    (["validate", "--norm", "diamond"], "0", "sample_count"),
+    (["isometry", "--normA", "l1", "--normB", "linf"], "0", "sample count"),
+])
+def test_cli_rejects_a_bad_sample_count(argv, samples, message, capsys):
+    assert main([*argv, "--samples", samples]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_norm(capsys):
