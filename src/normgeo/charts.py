@@ -16,7 +16,7 @@ import numpy as np
 from .config import DEFAULT_TOLS
 from .norms import Norm, SpherePoint, radial_points_vec
 from .sphere import ArcSet
-from .numerics import TWO_PI, bisect_first_true
+from .numerics import TWO_PI, bracket_search, require_converged
 
 __all__ = [
     "CoordinateChart", "LinearImageNorm", "SphereMapSample", "LinearityReport",
@@ -250,9 +250,9 @@ def four_distance_injectivity(norm: Norm, u1, u2, resolution: int = 4096,
     stays within the best gap found so far.
 
     Raises ``ValueError`` when no sample pair is far apart, when ``u1`` or
-    ``u2`` is not a finite 2D vector or is so long that its distances
-    overflow or do not vary over the sphere, and when ``tol`` is negative or
-    NaN.
+    ``u2`` is not a finite 2D vector or is so long that the rounding of its
+    distances, ``||u|| * 2^-52``, exceeds ``tol`` or they overflow or do not
+    vary over the sphere, and when ``tol`` is negative or NaN.
     """
     if norm.dim != 2:
         raise ValueError("the scan works on 2D spheres")
@@ -261,6 +261,12 @@ def four_distance_injectivity(norm: Norm, u1, u2, resolution: int = 4096,
         raise ValueError("u1, u2 must form a basis")
     if not tol >= 0.0:
         raise ValueError(f"tol must be >= 0, got {tol!r}")
+    for name, u, vec in (("u1", u1, a), ("u2", u2, b)):
+        # a distance near ||u|| is only known to ||u|| * 2^-52
+        rounding = float(norm(vec)) * 2.0 ** -52
+        if not rounding <= tol:
+            raise ValueError(f"{name} {u!r} is too long for tol {tol!r}: its distances "
+                             f"carry a rounding of {rounding:.1e}")
     m = min_separation_steps
     if m < 0:
         raise ValueError(f"min_separation_steps must be >= 0, got {m!r}")
@@ -399,20 +405,23 @@ def base_leftmost_crossing(norm, point, *, level: float | None = None) -> float:
     """Leftmost ``t`` with ``||(t, -1) - point|| <= level`` (default ``1 + beta``).
 
     The distance along the line ``y = -1`` decreases toward the point, so a
-    sign bisection on the left branch lands on the left edge of the level
+    bracket search on the left branch lands on the left edge of the level
     set exactly.
     """
     pv = np.asarray(point, dtype=float)
     lvl = (1.0 + pv[1]) if level is None else float(level)
 
-    def f(t: float) -> float:
-        return float(norm(np.array([t, -1.0]) - pv)) - lvl
+    def f(t: np.ndarray) -> np.ndarray:
+        pts = np.stack([t, np.full_like(t, -1.0)], axis=-1)
+        return norm(pts.reshape(-1, 2) - pv).reshape(t.shape) - lvl
 
     lo = pv[0]
     span = 1.0
-    while f(lo) <= 0.0:
+    while f(np.array([lo]))[0] <= 0.0:
         lo -= span
         span *= 2.0
         if span > 1e6:
             raise ValueError("no exterior bracket found on the base line")
-    return bisect_first_true(lambda t: f(t) <= 0.0, lo, pv[0], xtol=1e-13)
+    lo, hi, converged = bracket_search(lambda t: f(t) <= 0.0, [lo], [pv[0]], xtol=1e-13)
+    require_converged(converged, lo, hi, f"base-line search on the {norm.kind} sphere")
+    return float(hi[0])

@@ -17,7 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .norms import Norm, radial_points_vec
-from .numerics import TWO_PI, bisect_root_tight, fit_quadratic, loglog_slope
+from .numerics import (TWO_PI, bracket_search, fit_quadratic, loglog_slope,
+                       require_converged)
 
 __all__ = [
     "ClosedCurve", "CurvatureEstimate", "TwoPointConditionError",
@@ -83,9 +84,9 @@ def _two_points_at_distance(ambient: Norm, curve: ClosedCurve, t0: float,
     """The two curve points at ambient distance ``delta`` from ``curve(t0)``.
 
     Bracketed sign changes of ``||x - curve(t)|| - delta`` are counted on a
-    dense grid; anything other than exactly two is an error.  Each bracket is
-    then driven to the last representable midpoint so that straight pieces
-    yield exactly additive chords.
+    dense grid; anything other than exactly two is an error.  Both brackets
+    are then searched together down to adjacent floats, so that straight
+    pieces yield exactly additive chords.
     """
     x = curve.point(t0)
     ts = t0 + np.linspace(0.0, curve.period, grid, endpoint=False)
@@ -94,17 +95,20 @@ def _two_points_at_distance(ambient: Norm, curve: ClosedCurve, t0: float,
     crossings = np.flatnonzero(sign_lo != np.roll(sign_lo, -1))
     if len(crossings) != 2:
         raise TwoPointConditionError(delta, len(crossings))
-    step = curve.period / grid
-    out = []
-    for i in crossings:
-        lo = float(ts[i])
+    below = sign_lo[crossings, None]
 
-        def f(t: float) -> float:
-            return float(ambient(curve.point(t) - x)) - delta
+    def crossed(t: np.ndarray) -> np.ndarray:
+        gap = ambient(curve.points(t.ravel()) - x).reshape(t.shape) - delta
+        return (gap < 0.0) != below
 
-        root = bisect_root_tight(f, lo, lo + step)
-        out.append(curve.point(root))
-    return x, out[0], out[1]
+    # both crossings in one search down to adjacent floats, each between the
+    # grid nodes whose signs differ
+    ends = np.append(ts, ts[0] + curve.period)
+    lo, hi, converged = bracket_search(crossed, ends[crossings], ends[crossings + 1],
+                                       xtol=0.0)
+    require_converged(converged, lo, hi, f"two-point search in the {ambient.kind} norm")
+    a, b = curve.points(0.5 * (lo + hi))
+    return x, a, b
 
 
 @dataclass(frozen=True)

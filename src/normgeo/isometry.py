@@ -27,7 +27,7 @@ from .config import DEFAULT_TOLS
 from .charts import SphereMapSample
 from .norms import (Norm, RevolutionNorm, SpherePoint, hexagonal_norm,
                     sphere_point)
-from .numerics import golden_max
+from .numerics import golden_max, require_converged
 from .sphere import arc_length_map
 
 __all__ = [
@@ -282,11 +282,8 @@ def _profile_zeros(fp_x: ChordFingerprint, fp_y: ChordFingerprint,
     # the mismatch is V-shaped around each zero
     offsets, values, converged = golden_max(neg_row_mismatch,
                                             centres - step, centres + step)
-    if not converged.all():
-        k = int(np.argmin(converged))
-        raise RuntimeError(
-            f"offset refinement on the {norm.kind} sphere hit its iteration "
-            f"cap in bracket [{centres[k] - step!r}, {centres[k] + step!r}]")
+    require_converged(converged, centres - step, centres + step,
+                      f"offset refinement on the {norm.kind} sphere")
     # row 0 is part of the full check below
     offsets = offsets[-values <= tol]
     found: list[tuple[float, float]] = []

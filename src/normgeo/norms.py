@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .numerics import TWO_PI, bisect_root
+from .numerics import TWO_PI, bracket_search, require_converged
 
 __all__ = [
     "Norm", "PNorm", "EuclideanNorm", "PolygonNorm", "HexagonalNorm",
@@ -300,6 +300,12 @@ def _ellipse_gauge(batch: np.ndarray, shape: np.ndarray, center: np.ndarray) -> 
     return root
 
 
+# Lens gauge values within 2^-100 .. 2^100 stand as computed: for a shape
+# matrix and offset of moderate size the quadratic form of such a vector
+# neither overflows (~1e154) nor falls into subnormals (~1e-154).
+_LENS_RANGE = 2.0 ** 100
+
+
 @dataclass(frozen=True)
 class LensNorm(Norm):
     """Gauge whose ball is the intersection of two mirrored ellipses.
@@ -337,29 +343,42 @@ class LensNorm(Norm):
         object.__setattr__(self, "_corners", self._find_corners())
 
     def _gauge(self, batch):
+        # a row whose value leaves the lens range is recomputed divided by its
+        # largest entry (the gauge is homogeneous); other rows stand as they are
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self._ellipses(batch)
+            far = ~((out >= 1.0 / _LENS_RANGE) & (out <= _LENS_RANGE))
+            if np.count_nonzero(far):
+                top = np.abs(batch[far]).max(axis=1)
+                scale = np.where((top > 0.0) & np.isfinite(top), top, 1.0)
+                out[far] = scale * self._ellipses(batch[far] / scale[:, None])
+        return out
+
+    def _ellipses(self, batch):
         m, c = self._shape_arr, self._offset_arr
         return np.maximum(_ellipse_gauge(batch, m, c), _ellipse_gauge(batch, m, -c))
 
     def _find_corners(self) -> tuple[float, ...]:
-        # Corners sit where the two ellipse gauges agree on the sphere.
+        # Corners sit where the two ellipse gauges agree on the sphere: one
+        # batched pass over a grid, then one search over every sign change.
         m, c = self._shape_arr, self._offset_arr
 
-        def diff(theta: float) -> float:
-            u = np.array([[math.cos(theta), math.sin(theta)]])
-            return float(_ellipse_gauge(u, m, c)[0] - _ellipse_gauge(u, m, -c)[0])
+        def diff(theta: np.ndarray) -> np.ndarray:
+            u = np.column_stack([np.cos(theta), np.sin(theta)])
+            return _ellipse_gauge(u, m, c) - _ellipse_gauge(u, m, -c)
 
         grid = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
-        vals = np.array([diff(t) for t in grid])
-        corners = []
-        for i in range(len(grid)):
-            a, b = vals[i], vals[(i + 1) % len(grid)]
-            if a == 0.0:
-                corners.append(float(grid[i]))
-            elif a * b < 0.0:
-                lo = float(grid[i])
-                hi = lo + float(grid[1] - grid[0])
-                corners.append(bisect_root(diff, lo, hi, xtol=1e-14) % TWO_PI)
-        return tuple(sorted(corners))
+        vals = diff(grid)
+        cross = vals * np.roll(vals, -1) < 0.0
+        rising = vals[cross, None] < 0.0
+        lo = grid[cross]
+        hi = lo + float(grid[1] - grid[0])
+        lo, hi, converged = bracket_search(
+            lambda t: (diff(t.ravel()).reshape(t.shape) <= 0.0) != rising,
+            lo, hi, xtol=1e-14)
+        require_converged(converged, lo, hi, f"corner search on the {self.kind} sphere")
+        roots = (0.5 * (lo + hi)) % TWO_PI
+        return tuple(sorted(grid[vals == 0.0].tolist() + roots.tolist()))
 
     def corner_angles(self):
         return self._corners

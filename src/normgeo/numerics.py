@@ -11,6 +11,113 @@ TWO_PI = 2.0 * math.pi
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+# abscissae per predicate call, shared by the brackets of one search
+_GRID_BUDGET = 64
+
+
+def _splittable(lo: np.ndarray, hi: np.ndarray, xtol: float) -> np.ndarray:
+    """Brackets a bisection would still halve; a NaN bracket stays open."""
+    mid = 0.5 * (lo + hi)
+    return ~(hi - lo <= xtol) & (mid != lo) & (mid != hi)
+
+
+def bracket_search(pred: Callable[[np.ndarray], np.ndarray], lo, hi, *,
+                   xtol: float = 1e-13, max_iter: int = 200
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Boundaries of monotone predicates, bracket-wise.
+
+    ``lo`` and ``hi`` are 1D arrays of bracket ends; ``pred`` maps an
+    ``(n_brackets, k)`` array of abscissae, row ``i`` inside bracket ``i``,
+    to booleans, False on the ``lo`` side of the boundary and True on the
+    ``hi`` side.  One call checks the ends: a bracket already True at ``lo``
+    closes there, and one False at ``hi`` raises ``ValueError``.  Each
+    further step makes one call on a grid of ``k = 2^m - 1`` abscissae per
+    bracket, with ``2^m - 1 <= max(1, 64 // n_brackets)``: the midpoints
+    that ``m`` rounds of bisection could visit, each computed as
+    ``0.5 * (lo + hi)`` of its cell.  Every bracket then walks down the
+    grid as bisection would, stopping as soon as its cell is at most
+    ``xtol`` wide or its midpoint rounds onto an end, so the result is bit
+    for bit that of plain bisection, whatever the batch.  ``xtol = 0`` ends
+    on adjacent floats.
+
+    Returns ``(lo, hi, converged)``, where ``converged`` is False for the
+    brackets still open after ``max_iter`` grid steps.
+    """
+    lo = np.array(lo, dtype=float, ndmin=1)
+    hi = np.array(hi, dtype=float, ndmin=1)
+    ends = np.asarray(pred(np.column_stack([lo, hi])), dtype=bool)
+    if not ends[:, 1].all():
+        k = int(np.argmin(ends[:, 1]))
+        raise ValueError(f"predicate is false on the whole interval "
+                         f"[{float(lo[k])!r}, {float(hi[k])!r}]")
+    hi[ends[:, 0]] = lo[ends[:, 0]]
+    n = lo.size
+    levels = max(1, (_GRID_BUDGET // max(n, 1) + 1).bit_length() - 1)
+    cells = 1 << levels
+    inner = np.arange(1, cells)
+    half = inner & -inner  # node i is the midpoint of the cell [i - half, i + half]
+    # Walk states count in half nodes: state 2i is the cell that node i
+    # halves, state 2j + 1 the grid cell [j, j + 1]; state s spans
+    # [s - w, s + w] half nodes, w the lowest set bit of s.  A state's entry
+    # in the walk table is the state bisection moves to from it.
+    span = 2 * cells + 1
+    row_states = np.arange(n) * span
+    stay = row_states[:, None] + np.arange(span)
+    row_nodes = np.arange(n) * (cells + 1)
+    nodes = np.empty((n, cells + 1))
+    for _ in range(max_iter):
+        if not _splittable(lo, hi, xtol).any():
+            break
+        nodes[:, 0], nodes[:, -1] = lo, hi
+        for level in range(levels):
+            h = cells >> (level + 1)
+            mids = nodes[:, h::2 * h]
+            np.add(nodes[:, :-h:2 * h], nodes[:, 2 * h::2 * h], out=mids)
+            mids *= 0.5
+        truth = np.asarray(pred(nodes[:, 1:-1]), dtype=bool)
+        split = _splittable(nodes[:, inner - half], nodes[:, inner + half], xtol)
+        table = stay.copy()
+        table[:, 2 * inner] += np.where(split, np.where(truth, -half, half), 0)
+        state = row_states + cells
+        for _ in range(levels):
+            state = table.take(state)
+        state -= row_states
+        w = state & -state
+        flat = nodes.ravel()
+        lo = flat.take(row_nodes + (state - w) // 2)
+        hi = flat.take(row_nodes + (state + w) // 2)
+    return lo, hi, ~_splittable(lo, hi, xtol)
+
+
+def require_converged(converged: np.ndarray, lo, hi, search: str) -> None:
+    """Raise ``RuntimeError`` naming ``search`` and its first open bracket."""
+    if not np.all(converged):
+        k = int(np.argmin(converged))
+        raise RuntimeError(f"{search} hit its iteration cap in bracket "
+                           f"[{float(lo[k])!r}, {float(hi[k])!r}]")
+
+
+# The three scalar bisections below wrap `bracket_search` for a scalar
+# function; the package itself calls `bracket_search` on arrays.
+
+# a float bracket closes within ~2,100 halvings, and each step halves once at least
+_TIGHT_STEPS = 2200
+
+
+def _elementwise(pred: Callable[[float], bool]):
+    def batched(x: np.ndarray) -> np.ndarray:
+        return np.array([bool(pred(float(t))) for t in x.ravel()]).reshape(x.shape)
+    return batched
+
+
+def _scalar_search(pred, lo: float, hi: float, xtol: float,
+                   max_iter: int) -> tuple[float, float]:
+    a, b, converged = bracket_search(_elementwise(pred), [lo], [hi],
+                                     xtol=xtol, max_iter=max_iter)
+    require_converged(converged, a, b, "scalar bisection")
+    return float(a[0]), float(b[0])
+
+
 def bisect_root(f: Callable[[float], float], lo: float, hi: float,
                 *, xtol: float = 1e-13, max_iter: int = 200) -> float:
     """Root of ``f`` on ``[lo, hi]``; the endpoint signs must differ.
@@ -26,53 +133,24 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float,
     if (flo < 0.0) == (fhi < 0.0):
         raise ValueError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
     rising = flo < 0.0
-    for _ in range(max_iter):
-        if hi - lo <= xtol:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if (f(mid) <= 0.0) == rising:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    a, b = _scalar_search(lambda t: (f(t) <= 0.0) != rising, lo, hi, xtol, max_iter)
+    return 0.5 * (a + b)
 
 
 def bisect_root_tight(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Bisection driven to the last representable midpoint."""
+    """Bisection driven to adjacent floats, returning their rounded midpoint."""
     flo = f(lo)
     if flo == 0.0:
         return lo
     rising = flo < 0.0
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
-        if (f(mid) <= 0.0) == rising:
-            lo = mid
-        else:
-            hi = mid
+    a, b = _scalar_search(lambda t: (f(t) <= 0.0) != rising, lo, hi, 0.0, _TIGHT_STEPS)
+    return 0.5 * (a + b)
 
 
 def bisect_first_true(pred: Callable[[float], bool], lo: float, hi: float,
                       *, xtol: float = 1e-13, max_iter: int = 200) -> float:
     """Boundary of a monotone predicate (False on ``lo`` side, True at ``hi``)."""
-    if pred(lo):
-        return lo
-    if not pred(hi):
-        raise ValueError("predicate is false on the whole interval")
-    for _ in range(max_iter):
-        if hi - lo <= xtol:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _scalar_search(pred, lo, hi, xtol, max_iter)[1]
 
 
 def golden_max(f: Callable[[np.ndarray], np.ndarray], a, b,

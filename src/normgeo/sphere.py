@@ -16,7 +16,7 @@ import numpy as np
 from .config import DEFAULT_TOLS
 from .norms import (Norm, PolygonNorm, SpherePoint, radial_point,
                     radial_points_vec, radial_vec, sphere_point)
-from .numerics import TWO_PI, bisect_first_true, bisect_root
+from .numerics import TWO_PI, bracket_search, require_converged
 
 __all__ = [
     "ArcSet", "SphereSegment", "BisectorPair", "arcset", "arc_hausdorff",
@@ -141,32 +141,58 @@ def _theta_of(p: SpherePoint) -> float:
     return math.atan2(p.v[1], p.v[0]) % TWO_PI
 
 
+def _both_sides(norm: Norm, alphas: np.ndarray, search: str, pred,
+                angle_tol: float) -> np.ndarray:
+    """One ``bracket_search`` for the first angle ``t`` in ``[0, pi]``, on
+    each side of each start angle, at which ``pred`` holds.
+
+    Row ``2i`` looks forward from ``alphas[i]`` and row ``2i + 1`` backward:
+    ``pred`` gets the sphere angles ``alpha + t`` or ``alpha + (2pi - t)``
+    of an ``(n, k)`` grid of ``t``.  Returns the ``n`` angles ``t``.
+    """
+    start = np.repeat(alphas, 2)[:, None]
+    back = np.tile([False, True], len(alphas))[:, None]
+    zeros = np.zeros(2 * len(alphas))
+    t_lo, t, converged = bracket_search(
+        lambda t: pred(start + np.where(back, TWO_PI - t, t)),
+        zeros, zeros + math.pi, xtol=angle_tol)
+    require_converged(converged, t_lo, t, f"{search} on the {norm.kind} sphere")
+    return t
+
+
+def _diametral_arcs(norm: Norm, points, level_tol: float,
+                    angle_tol: float) -> list[ArcSet]:
+    """Distance-2 sets of several sphere points: both sides of all in one search."""
+    xvs = np.array([p.vec for p in points])
+    alphas = np.array([_theta_of(p) for p in points])
+    # anchor the level at the attained maximum so near-sphere inputs stay safe
+    levels = norm(xvs - radial_points_vec(norm, alphas + math.pi)) - level_tol
+    row_xvs = np.repeat(xvs, 2, axis=0)[:, None, :]
+    row_levels = np.repeat(levels, 2)[:, None]
+
+    def reached(theta):
+        pts = radial_points_vec(norm, theta.ravel()).reshape(*theta.shape, 2)
+        return norm((row_xvs - pts).reshape(-1, 2)).reshape(theta.shape) >= row_levels
+
+    t = _both_sides(norm, alphas, "distance-2 search", reached, angle_tol).tolist()
+    return [arcset([(alpha + t_fwd, alpha + TWO_PI - t_bwd)], norm=norm)
+            for alpha, t_fwd, t_bwd in zip(alphas.tolist(), t[::2], t[1::2])]
+
+
 def diametral_set(norm: Norm, x: SpherePoint, *,
                   level_tol: float = DEFAULT_TOLS.evaluation,
                   angle_tol: float = DEFAULT_TOLS.angle) -> ArcSet:
     """Sphere points at chordal distance exactly 2 from ``x``.
 
     The distance to ``x`` rises monotonically from 0 to 2 along each arc
-    toward ``-x``, so the boundary of the level set {distance = 2} is found
-    by predicate bisection on each side; the result is one closed arc that
+    toward ``-x``, so one bracket search finds the boundary of the level set
+    {distance = 2} on both sides at once; the result is one closed arc that
     always contains the antipode of ``x``.
     """
     if norm.dim != 2:
         raise ValueError("diametral_set requires a 2D norm")
     _require_owner(norm, x)
-    alpha = _theta_of(x)
-    xv = x.vec
-
-    def dist(t: float) -> float:
-        return float(norm(xv - radial_vec(norm, alpha + t)))
-
-    # anchor the level at the attained maximum so near-sphere inputs stay safe
-    level = dist(math.pi) - level_tol
-    t_fwd = bisect_first_true(lambda t: dist(t) >= level, 0.0, math.pi,
-                              xtol=angle_tol)
-    t_bwd = bisect_first_true(lambda u: dist(TWO_PI - u) >= level, 0.0, math.pi,
-                              xtol=angle_tol)
-    return arcset([(alpha + t_fwd, alpha + TWO_PI - t_bwd)], norm=norm)
+    return _diametral_arcs(norm, [x], level_tol, angle_tol)[0]
 
 
 def star(norm: Norm, x: SpherePoint, *,
@@ -175,22 +201,22 @@ def star(norm: Norm, x: SpherePoint, *,
     """Points x' whose segment [x, x'] lies inside the sphere.
 
     By convexity this is exactly {x' : ||(x + x')/2|| = 1}; the midpoint norm
-    decreases monotonically away from ``x`` on both sides.
+    decreases monotonically away from ``x`` on both sides, whose ends one
+    bracket search finds together.
     """
     if norm.dim != 2:
         raise ValueError("star requires a 2D norm")
     _require_owner(norm, x)
-    alpha = _theta_of(x)
     xv = x.vec
+    alpha = _theta_of(x)
+    level = float(norm(0.5 * (xv + radial_vec(norm, alpha)))) - 0.5 * level_tol
 
-    def midnorm(t: float) -> float:
-        return float(norm(0.5 * (xv + radial_vec(norm, alpha + t))))
+    def left(theta):
+        pts = radial_points_vec(norm, theta.ravel())
+        return norm(0.5 * (xv + pts)).reshape(theta.shape) < level
 
-    level = midnorm(0.0) - 0.5 * level_tol
-    t_fwd = bisect_first_true(lambda t: midnorm(t) < level, 0.0, math.pi,
-                              xtol=angle_tol)
-    t_bwd = bisect_first_true(lambda u: midnorm(TWO_PI - u) < level, 0.0, math.pi,
-                              xtol=angle_tol)
+    t_fwd, t_bwd = _both_sides(norm, np.array([alpha]), "star search", left,
+                               angle_tol).tolist()
     return arcset([(alpha - t_bwd, alpha + t_fwd)], norm=norm)
 
 
@@ -198,23 +224,32 @@ def is_flat(norm: Norm, x: SpherePoint, radius: float = 1e-3,
             *, tol: float = 1e-6) -> bool:
     """True when the distance-2 set is locally constant around ``x``.
 
-    Probes one point at sphere distance ``radius`` on each side of ``x`` and
-    compares the three diametral sets in the circular Hausdorff metric.
+    Probes one point at sphere distance ``radius`` on each side of ``x`` (one
+    bracket search for both) and compares the three diametral sets (one
+    search for all six sides) in the circular Hausdorff metric.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < 2.0:  # the probes must lie strictly between x and -x
+        raise ValueError(f"radius must lie in (0, 2), got {radius!r}")
+    if norm.dim != 2:
+        raise ValueError("is_flat requires a 2D norm")
     _require_owner(norm, x)
     alpha = _theta_of(x)
     xv = x.vec
-    base = diametral_set(norm, x)
-    for side in (1.0, -1.0):
-        t = bisect_root(
-            lambda t: float(norm(xv - radial_vec(norm, alpha + side * t))) - radius,
-            0.0, math.pi, xtol=1e-13)
-        probe = radial_point(norm, alpha + side * t)
-        if arc_hausdorff(base, diametral_set(norm, probe)) > tol:
-            return False
-    return True
+    side = np.array([[1.0], [-1.0]])
+
+    def beyond(t):
+        pts = radial_points_vec(norm, (alpha + side * t).ravel())
+        return norm(xv - pts).reshape(t.shape) - radius > 0.0
+
+    t_lo, t_hi, converged = bracket_search(beyond, [0.0, 0.0], [math.pi, math.pi])
+    require_converged(converged, t_lo, t_hi,
+                      f"flatness probe search on the {norm.kind} sphere")
+    t = 0.5 * (t_lo + t_hi)
+    probes = [radial_point(norm, alpha + sign * ti)
+              for sign, ti in zip((1.0, -1.0), t.tolist())]
+    base, *others = _diametral_arcs(norm, [x, *probes], DEFAULT_TOLS.evaluation,
+                                    DEFAULT_TOLS.angle)
+    return all(arc_hausdorff(base, other) <= tol for other in others)
 
 
 @dataclass(frozen=True)
@@ -260,26 +295,33 @@ def bisector_points(norm: Norm, x: SpherePoint, *,
     """Solve ``||z - x|| = ||z + x||`` on the sphere.
 
     ``g(theta) = ||s - x|| - ||s + x||`` rises monotonically from -2 to 2 on
-    the half circle, so a sign-change bisection is safe.  If ``g`` vanishes
-    on an interval wider than ``width_tol`` the result is flagged non-unique
-    and the interval midpoint is returned.
+    the half circle, so one bracket search finds its root and a second one
+    both edges of the interval where ``|g| <= tie_tol``.  If that interval
+    is wider than ``width_tol`` the result is flagged non-unique and the
+    interval midpoint is returned.
     """
     if norm.dim != 2:
         raise ValueError("bisector_points requires a 2D norm")
     _require_owner(norm, x)
     alpha = _theta_of(x)
     xv = x.vec
+    search = f"bisector search on the {norm.kind} sphere"
 
-    def g(t: float) -> float:
-        s = radial_vec(norm, alpha + t)
-        return float(norm(s - xv) - norm(s + xv))
+    def g(t):
+        s = radial_points_vec(norm, (alpha + t).ravel())
+        return (norm(s - xv) - norm(s + xv)).reshape(t.shape)
 
-    root = bisect_root(g, 1e-9, math.pi - 1e-9, xtol=DEFAULT_TOLS.angle)
-    t_lo = bisect_first_true(lambda t: abs(g(t)) <= tie_tol, 0.0, root,
-                             xtol=DEFAULT_TOLS.angle)
-    t_hi = math.pi - bisect_first_true(
-        lambda u: abs(g(math.pi - u)) <= tie_tol, 0.0, math.pi - root,
-        xtol=DEFAULT_TOLS.angle)
+    lo, hi, converged = bracket_search(lambda t: g(t) > 0.0, [1e-9], [math.pi - 1e-9],
+                                       xtol=DEFAULT_TOLS.angle)
+    require_converged(converged, lo, hi, search)
+    root = float(0.5 * (lo[0] + hi[0]))
+    # the tie interval's edges: forward from 0 and backward from pi, together
+    back = np.array([[False], [True]])
+    lo, hi, converged = bracket_search(
+        lambda u: np.abs(g(np.where(back, math.pi - u, u))) <= tie_tol,
+        [0.0, 0.0], [root, math.pi - root], xtol=DEFAULT_TOLS.angle)
+    require_converged(converged, lo, hi, search)
+    t_lo, t_hi = float(hi[0]), math.pi - float(hi[1])
     unique = (t_hi - t_lo) <= width_tol
     t_mid = 0.5 * (t_lo + t_hi)
     z = radial_point(norm, alpha + t_mid)

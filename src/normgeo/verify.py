@@ -15,8 +15,8 @@ import numpy as np
 from ._version import __version__
 from .curvature import circle_curve, normed_curvature
 from .isometry import lift_target_norm
-from .norms import EuclideanNorm, PNorm, hexagonal_norm, radial_point, radial_vec
-from .numerics import TWO_PI, bisect_root
+from .norms import EuclideanNorm, PNorm, hexagonal_norm, radial_point, radial_points_vec
+from .numerics import TWO_PI, bracket_search, require_converged
 from .sphere import (arc_hausdorff, diametral_set, maximal_segments,
                      self_circumference, star)
 
@@ -104,24 +104,25 @@ def _check_cubenorm_basis(claims: list[ClaimResult]) -> None:
 
 
 def _ridge_points(samples: int) -> np.ndarray:
-    """Points of the revolution sphere at distance 1 from (1,0,0), one per azimuth."""
+    """Points of the revolution sphere at distance 1 from (1,0,0), one per
+    azimuth; one bracket search over the profile angle serves every azimuth."""
     norm = lift_target_norm()
     profile = hexagonal_norm()
     e1 = np.array([1.0, 0.0, 0.0])
     phis = np.linspace(0.0, TWO_PI, samples, endpoint=False)
-    out = np.empty((samples, 3))
-    for k, phi in enumerate(phis):
-        cp, sp = math.cos(phi), math.sin(phi)
+    cp, sp = np.cos(phis)[:, None], np.sin(phis)[:, None]
 
-        def gap(psi: float) -> float:
-            a, rho = radial_vec(profile, psi)
-            point = np.array([a, rho * cp, rho * sp])
-            return float(norm(point - e1)) - 1.0
+    def lift(psi: np.ndarray) -> np.ndarray:  # (samples, k) angles -> points
+        ar = radial_points_vec(profile, psi.ravel()).reshape(*psi.shape, 2)
+        return np.stack([ar[..., 0], ar[..., 1] * cp, ar[..., 1] * sp], axis=-1)
 
-        psi = bisect_root(gap, 1e-12, math.pi - 1e-12, xtol=1e-13)
-        a, rho = radial_vec(profile, psi)
-        out[k] = (a, rho * cp, rho * sp)
-    return out
+    def beyond(psi: np.ndarray) -> np.ndarray:
+        return norm(lift(psi).reshape(-1, 3) - e1).reshape(psi.shape) - 1.0 > 0.0
+
+    lo, hi, converged = bracket_search(beyond, np.full(samples, 1e-12),
+                                       np.full(samples, math.pi - 1e-12), xtol=1e-13)
+    require_converged(converged, lo, hi, f"ridge search on the {norm.kind} sphere")
+    return lift(0.5 * (lo + hi)[:, None])[:, 0]
 
 
 def _check_revolution_ridge(claims: list[ClaimResult], samples: int) -> None:

@@ -189,6 +189,8 @@ def test_injectivity_scan_matches_brute_force(scan_norms, n, basis):
     ({"u1": [1e200, 0.0]}, "u1"),
     ({"tol": math.nan}, "tol"),
     ({"tol": -1.0}, "tol"),
+    ({"u1": [1e12, 0.0]}, "u1"),
+    ({"u2": [0.0, -1e12]}, "u2"),
 ])
 def test_injectivity_rejects_scans_that_certify_nothing(euclid, kwargs, name):
     args = {"u1": [1.0, 0.0], "u2": [0.0, 1.0], "resolution": 256, **kwargs}

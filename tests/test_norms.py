@@ -213,6 +213,64 @@ def test_lens_is_normalized_with_two_corners(lens):
     assert corners[1] == pytest.approx(3 * math.pi / 2, abs=1e-12)
 
 
+TILTED_LENS = dict(shape=((0.3, 0.05), (0.05, 0.6)), offset=(0.9, 0.3))
+
+
+def test_lens_corners_match_a_scalar_bisection(lens):
+    """The batched corner search agrees with one scalar bisection per grid
+    cell where the two ellipse gauges swap."""
+    from normgeo.norms import _ellipse_gauge
+    from normgeo.numerics import bisect_root
+    for norm in (lens, LensNorm(**TILTED_LENS)):
+        m, c = norm._shape_arr, norm._offset_arr
+
+        def diff(t):
+            u = np.array([[math.cos(t), math.sin(t)]])
+            return float(_ellipse_gauge(u, m, c)[0] - _ellipse_gauge(u, m, -c)[0])
+
+        grid = np.linspace(0.0, 2 * math.pi, 1024, endpoint=False)
+        vals = [diff(t) for t in grid]
+        expected = sorted(
+            float(grid[i]) if vals[i] == 0.0 else
+            bisect_root(diff, grid[i], grid[i] + grid[1], xtol=1e-14) % (2 * math.pi)
+            for i in range(1024) if vals[i] == 0.0 or vals[i] * vals[(i + 1) % 1024] < 0.0)
+        assert len(norm.corner_angles()) == len(expected) == 2
+        assert np.abs(np.subtract(norm.corner_angles(), expected)).max() <= 1e-14
+
+
+LENSES = (LensNorm(), LensNorm(**TILTED_LENS))
+
+
+def test_lens_gauge_neither_overflows_nor_underflows(lens):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lens([1e200, 0.0]) == pytest.approx(1e200, rel=1e-15)
+        assert lens([0.0, -1e-300]) == pytest.approx(1e-300, rel=1e-15)
+        got = lens(np.array([[1e300, 1e300], [1.0, 0.0], [0.0, 0.0], [math.nan, 1.0]]))
+    assert got[1] == lens([1.0, 0.0]) and got[2] == 0.0 and math.isnan(got[3])
+    assert got[0] == pytest.approx(1e300 * lens([1.0, 1.0]), rel=1e-14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=st.floats(0.0, 2 * math.pi), e=st.floats(-300.0, 300.0),
+       f=st.floats(-300.0, 300.0))
+def test_lens_gauge_is_homogeneous_over_the_float_range(theta, e, f):
+    v = np.array([math.cos(theta), math.sin(theta)])
+    for norm in LENSES:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a, b = norm(10.0 ** e * v), norm(10.0 ** f * v)
+            batch = np.stack([10.0 ** e * v, 10.0 ** f * v, 0.0 * v, v])
+            rows = norm(batch)
+        assert math.isfinite(a) and a > 0.0, (norm, e)
+        assert abs(a / 10.0 ** e - b / 10.0 ** f) <= 1e-14 * (a / 10.0 ** e), (norm, e, f)
+        assert abs(rows[0] / 10.0 ** e - b / 10.0 ** f) <= 1e-14 * (a / 10.0 ** e)
+        # in-range rows are bit for bit the plain quadratic-form gauge
+        with np.errstate(all="ignore"):
+            plain = norm._ellipses(batch)
+        assert rows[2] == 0.0 and rows[3] == plain[3]
+
+
 def test_lens_rejects_bad_shapes():
     with pytest.raises(ValueError, match="positive definite"):
         LensNorm(shape=((-1.0, 0.0), (0.0, 1.0)))

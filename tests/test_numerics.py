@@ -1,10 +1,14 @@
 import functools
+import math
 
 import numpy as np
 import pytest
 
-from normgeo import isometry, isometry_group
-from normgeo.numerics import golden_max
+from normgeo import (LensNorm, bisector_points, charts, curvature, diametral_set,
+                     isometry, isometry_group, is_flat, norms, radial_point, sphere,
+                     star, verify)
+from normgeo.numerics import (bisect_first_true, bisect_root, bisect_root_tight,
+                              bracket_search, golden_max)
 
 
 def v_shape(x):
@@ -54,3 +58,121 @@ def test_capped_refinements_raise(monkeypatch, hexn):
     monkeypatch.setattr(isometry, "golden_max", capped)
     with pytest.raises(RuntimeError, match="hexagonal sphere"):
         isometry_group(hexn, 64)
+
+
+# -- bracket search ----------------------------------------------------------
+
+def plain_bisection(pred, lo, hi, xtol):
+    """The scalar bisection the engine reproduces: False at lo, True at hi."""
+    while not hi - lo <= xtol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+ROOTS = np.array([0.1, 1.0 / 3.0, 2.0, -7.25, 1e-9, 123.456])
+SEARCH_LO = ROOTS - np.array([0.3, 1.0, 1e-6, 5.0, 1e-9, 400.0])
+SEARCH_HI = ROOTS + np.array([0.7, 2.0, 3e-6, 0.5, 1.0, 1.0])
+
+
+def past_root(x):
+    return np.arctan(x - ROOTS[:, None]) >= 0.0
+
+
+@pytest.mark.parametrize("xtol", [1e-13, 1e-6, 0.0])
+def test_bracket_search_batch_is_plain_bisection_bit_for_bit(xtol):
+    lo, hi, converged = bracket_search(past_root, SEARCH_LO, SEARCH_HI, xtol=xtol)
+    assert converged.all()
+    for k, (a, b) in enumerate(zip(SEARCH_LO, SEARCH_HI)):
+        alone = bracket_search(lambda x, k=k: np.arctan(x - ROOTS[k]) >= 0.0,
+                               [a], [b], xtol=xtol)
+        assert (alone[0][0], alone[1][0]) == (lo[k], hi[k])
+        ref = plain_bisection(lambda t, k=k: math.atan(t - ROOTS[k]) >= 0.0, a, b, xtol)
+        assert ref == (lo[k], hi[k])
+    assert np.all(hi - lo <= xtol) or xtol == 0.0
+
+
+def test_bracket_search_counts_one_call_per_step():
+    shapes = []
+
+    def pred(x):
+        shapes.append(x.shape)
+        return x >= 1.0
+
+    lo, hi, converged = bracket_search(pred, [1.0 - math.pi / 2], [1.0 + math.pi / 2])
+    assert converged[0] and hi[0] - lo[0] <= 1e-13 and lo[0] < 1.0 <= hi[0]
+    assert shapes[0] == (1, 2)  # the ends
+    assert set(shapes[1:]) == {(1, 63)}
+    assert len(shapes) <= math.ceil(math.log(math.pi / 1e-13, 33)) + 2
+    shapes.clear()
+    bracket_search(pred, np.zeros(6), np.full(6, 3.0))
+    assert set(shapes[1:]) == {(6, 7)}
+
+
+def test_bracket_search_to_zero_width_ends_on_adjacent_floats():
+    lo, hi, converged = bracket_search(lambda x: x * x >= 2.0, [1.0, 0.0], [2.0, 1e6],
+                                       xtol=0.0)
+    assert converged.all()
+    assert np.array_equal(np.nextafter(lo, np.inf), hi)
+    assert np.all(lo * lo < 2.0) and np.all(hi * hi >= 2.0)
+
+
+def test_bracket_search_closes_a_bracket_true_at_its_start():
+    lo, hi, converged = bracket_search(lambda x: x >= 0.0, [0.0, -1.0], [1.0, 1.0])
+    assert converged.all() and (lo[0], hi[0]) == (0.0, 0.0)
+    assert lo[1] < 0.0 <= hi[1]
+
+
+def test_bracket_search_reports_the_iteration_cap():
+    lo, hi, converged = bracket_search(lambda x: x >= 0.3, [0.0, 0.0], [1.0, 1.0],
+                                       max_iter=2)
+    assert not converged.any()
+    _, _, converged = bracket_search(lambda x: ~(x < 0.5), [np.nan], [1.0])
+    assert not converged[0]
+
+
+def test_searches_raise_on_a_bracket_without_a_boundary():
+    with pytest.raises(ValueError, match="false on the whole interval"):
+        bracket_search(lambda x: x >= 5.0, [0.0, 0.0], [10.0, 1.0])
+    with pytest.raises(ValueError, match="false on the whole interval"):
+        bisect_first_true(lambda t: t >= 5.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="no sign change"):
+        bisect_root(lambda t: t * t + 1.0, -1.0, 1.0)
+
+
+def test_scalar_wrappers_follow_the_engine():
+    assert bisect_first_true(lambda t: t >= 0.25, 0.0, 1.0) == plain_bisection(
+        lambda t: t >= 0.25, 0.0, 1.0, 1e-13)[1]
+    assert abs(bisect_root(math.cos, 0.0, 3.0) - math.pi / 2) <= 1e-13
+    root = bisect_root_tight(lambda t: t * t - 2.0, 1.0, 2.0)
+    assert root in (math.sqrt(2.0), np.nextafter(math.sqrt(2.0), 0.0))
+
+
+def capped_search(monkeypatch, module):
+    monkeypatch.setattr(module, "bracket_search",
+                        functools.partial(bracket_search, max_iter=2))
+
+
+@pytest.mark.parametrize("query", [diametral_set, star, is_flat, bisector_points])
+def test_capped_sphere_searches_raise(monkeypatch, hexn, query):
+    capped_search(monkeypatch, sphere)
+    with pytest.raises(RuntimeError, match="hexagonal sphere"):
+        query(hexn, radial_point(hexn, 0.3))
+
+
+def test_capped_searches_elsewhere_raise(monkeypatch, hexn):
+    for module in (verify, norms, curvature, charts):
+        capped_search(monkeypatch, module)
+    with pytest.raises(RuntimeError, match="revolution sphere"):
+        verify.run_reference_checks(ridge_samples=8)
+    with pytest.raises(RuntimeError, match="lens sphere"):
+        LensNorm(shape=((0.3, 0.05), (0.05, 0.6)), offset=(0.9, 0.3))
+    with pytest.raises(RuntimeError, match="euclidean norm"):
+        curvature.normed_curvature(norms.EuclideanNorm(), curvature.circle_curve(), 0.3)
+    with pytest.raises(RuntimeError, match="hexagonal sphere"):
+        charts.base_leftmost_crossing(hexn, [0.2, 0.3])

@@ -7,7 +7,8 @@ from normgeo import (PolygonNorm, arc_hausdorff, arcset, bisector_points,
                      diametral_set, is_flat, is_isosceles_orthogonal,
                      maximal_segments, radial_point, self_circumference,
                      sphere_distance, sphere_point, star)
-from normgeo.norms import HEX_VERTICES, PNorm, radial_points_vec
+from normgeo.norms import HEX_VERTICES, PNorm, radial_points_vec, radial_vec
+from normgeo.numerics import bisect_first_true, bisect_root
 from normgeo.sphere import arc_length_map
 
 TWO_PI = 2 * math.pi
@@ -131,6 +132,12 @@ def test_is_flat(hexn, euclid, lens):
     assert not is_flat(lens, sphere_point(lens, [0.0, 1.0]))
 
 
+@pytest.mark.parametrize("radius", [0.0, -1e-3, 2.0, 2.5, math.nan])
+def test_is_flat_rejects_a_probe_radius_outside_0_2(hexn, radius):
+    with pytest.raises(ValueError, match="radius"):
+        is_flat(hexn, radial_point(hexn, 0.3), radius)
+
+
 def test_nothing_is_flat_on_strictly_convex_spheres(euclid, p3, lens):
     for norm in (euclid, p3, lens):
         for theta in np.linspace(0.1, TWO_PI, 6, endpoint=False):
@@ -196,6 +203,35 @@ def test_bisector_pair_is_antipodal_and_balanced(hexn, lens):
             for z in (pair.point.vec, pair.antipode.vec):
                 assert abs(norm(z - x.vec) - norm(z + x.vec)) < 1e-9
             assert np.allclose(pair.point.vec, -pair.antipode.vec, atol=1e-12)
+
+
+def test_queries_equal_scalar_bisection_bit_for_bit(hexn, p3, lens):
+    """Each side's batched search ends where one scalar bisection per side
+    ends, on norms whose batched and single evaluations agree bit for bit."""
+    for norm in (hexn, p3, lens):
+        for theta in (0.3, 2.0, 4.4):
+            x = radial_point(norm, theta)
+            xv = x.vec
+
+            def dist(t):
+                return norm(xv - radial_vec(norm, theta + t))
+
+            level = dist(math.pi) - 1e-12
+            fwd = bisect_first_true(lambda t: dist(t) >= level, 0.0, math.pi)
+            bwd = bisect_first_true(lambda u: dist(TWO_PI - u) >= level, 0.0, math.pi)
+            expected = arcset([(theta + fwd, theta + TWO_PI - bwd)])
+            assert diametral_set(norm, x).intervals == expected.intervals
+
+            def g(t):
+                s = radial_vec(norm, theta + t)
+                return norm(s - xv) - norm(s + xv)
+
+            root = bisect_root(g, 1e-9, math.pi - 1e-9)
+            t_lo = bisect_first_true(lambda t: abs(g(t)) <= 1e-10, 0.0, root)
+            t_hi = math.pi - bisect_first_true(lambda u: abs(g(math.pi - u)) <= 1e-10,
+                                               0.0, math.pi - root)
+            z = radial_point(norm, theta + 0.5 * (t_lo + t_hi))
+            assert bisector_points(norm, x).point == z
 
 
 def test_general_bisector_midpoint_symmetry(hexn):
