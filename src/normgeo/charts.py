@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .norms import Norm, SpherePoint, radial_points_vec
+from .norms import Norm, SpherePoint, _float_array, radial_points_vec
 from .sphere import ArcSet
 from .numerics import TWO_PI, bracket_search, require_converged
 
@@ -40,8 +40,12 @@ class LinearImageNorm(Norm):
     kind = "linear-image"
 
     def __post_init__(self):
-        arr = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "dim", arr.shape[0])
+        arr = _float_array(self.matrix, (self.base.dim, self.base.dim), "matrix")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"matrix must be finite, got {arr.tolist()}")
+        if np.linalg.matrix_rank(arr) < self.base.dim:
+            raise ValueError(f"matrix must be nonsingular, got {arr.tolist()}")
+        object.__setattr__(self, "dim", self.base.dim)
         object.__setattr__(self, "_matrix_arr", arr)
 
     def _gauge(self, batch):

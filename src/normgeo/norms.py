@@ -40,6 +40,17 @@ def _as_batch(v, dim: int) -> tuple[np.ndarray, bool]:
     return arr, False
 
 
+def _float_array(value, shape: tuple[int, ...], field: str) -> np.ndarray:
+    """``value`` as a float array of ``shape``, else ``ValueError`` naming ``field``."""
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape != shape:
+        raise ValueError(f"{field} must be numbers of shape {shape}, got {value!r}")
+    return arr
+
+
 _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
 # s ** fl(1/p) is off by |ln r| * 2^-53 relative at a result r, the rounding
@@ -321,11 +332,12 @@ class LensNorm(Norm):
     dim = 2
 
     def __post_init__(self):
-        shape = tuple((float(a), float(b)) for a, b in self.shape)
-        offset = (float(self.offset[0]), float(self.offset[1]))
+        m = _float_array(self.shape, (2, 2), "shape")
+        c = _float_array(self.offset, (2,), "offset")
+        shape = tuple(map(tuple, m.tolist()))
+        offset = tuple(c.tolist())
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "offset", offset)
-        m = np.asarray(shape, dtype=float)
         if not np.all(np.isfinite(m)):
             raise ValueError(f"shape matrix must be finite, got {shape}")
         if not all(map(math.isfinite, offset)):
@@ -335,7 +347,6 @@ class LensNorm(Norm):
         eigs = np.linalg.eigvalsh(m)
         if eigs.min() <= 0:
             raise ValueError("shape matrix must be positive definite")
-        c = np.asarray(offset, dtype=float)
         if float(c @ m @ c) >= 1.0:
             raise ValueError("the origin must lie strictly inside both ellipses")
         object.__setattr__(self, "_shape_arr", m)
@@ -618,25 +629,26 @@ def norm_from_json(data: dict) -> Norm:
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError("norm description must be an object with a 'kind' field")
     kind = data["kind"]
+
+    def field(name: str):
+        if name not in data:
+            raise ValueError(f"{kind} needs field {name!r}")
+        return data[name]
+
     if kind == "pnorm":
-        return PNorm(_parse_p(data["p"]), int(data.get("dim", 2)))
+        return PNorm(_parse_p(field("p")), int(data.get("dim", 2)))
     if kind == "euclidean":
         return EuclideanNorm(float(data.get("scale", 1.0)), int(data.get("dim", 2)))
     if kind == "polygon":
-        return PolygonNorm(tuple((float(x), float(y)) for x, y in data["vertices"]))
+        return PolygonNorm(tuple((float(x), float(y)) for x, y in field("vertices")))
     if kind == "hexagonal":
         return HexagonalNorm()
     if kind == "lens":
-        kwargs = {}
-        if "shape" in data:
-            kwargs["shape"] = tuple(tuple(float(x) for x in row) for row in data["shape"])
-        if "offset" in data:
-            kwargs["offset"] = tuple(float(x) for x in data["offset"])
-        return LensNorm(**kwargs)
+        return LensNorm(**{name: data[name] for name in ("shape", "offset") if name in data})
     if kind == "revolution":
-        return RevolutionNorm(norm_from_json(data["profile"]))
+        return RevolutionNorm(norm_from_json(field("profile")))
     if kind == "radial":
-        return RadialGaugeNorm.from_table(data["angles"], data["values"])
+        return RadialGaugeNorm.from_table(field("angles"), field("values"))
     raise ValueError(f"unknown norm kind {kind!r}")
 
 

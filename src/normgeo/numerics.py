@@ -15,10 +15,10 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_BUDGET = 64
 
 
-def _splittable(lo: np.ndarray, hi: np.ndarray, xtol: float) -> np.ndarray:
-    """Brackets a bisection would still halve; a NaN bracket stays open."""
+def _closed(lo, hi, xtol):
+    """Where bisection stops, for floats or arrays; a NaN bracket stays open."""
     mid = 0.5 * (lo + hi)
-    return ~(hi - lo <= xtol) & (mid != lo) & (mid != hi)
+    return (hi - lo <= xtol) | (mid == lo) | (mid == hi)
 
 
 def bracket_search(pred: Callable[[np.ndarray], np.ndarray], lo, hi, *,
@@ -51,42 +51,38 @@ def bracket_search(pred: Callable[[np.ndarray], np.ndarray], lo, hi, *,
         raise ValueError(f"predicate is false on the whole interval "
                          f"[{float(lo[k])!r}, {float(hi[k])!r}]")
     hi[ends[:, 0]] = lo[ends[:, 0]]
-    n = lo.size
-    levels = max(1, (_GRID_BUDGET // max(n, 1) + 1).bit_length() - 1)
-    cells = 1 << levels
-    inner = np.arange(1, cells)
-    half = inner & -inner  # node i is the midpoint of the cell [i - half, i + half]
-    # Walk states count in half nodes: state 2i is the cell that node i
-    # halves, state 2j + 1 the grid cell [j, j + 1]; state s spans
-    # [s - w, s + w] half nodes, w the lowest set bit of s.  A state's entry
-    # in the walk table is the state bisection moves to from it.
-    span = 2 * cells + 1
-    row_states = np.arange(n) * span
-    stay = row_states[:, None] + np.arange(span)
-    row_nodes = np.arange(n) * (cells + 1)
-    nodes = np.empty((n, cells + 1))
+    cells = 1 << max(1, (_GRID_BUDGET // max(lo.size, 1) + 1).bit_length() - 1)
+    if cells == 2:  # one node per bracket: each step is one vectorised bisection
+        for _ in range(max_iter):
+            split = ~_closed(lo, hi, xtol)
+            if not split.any():
+                break
+            mid = 0.5 * (lo + hi)
+            truth = np.asarray(pred(mid[:, None]), dtype=bool)[:, 0]
+            lo, hi = np.where(split & ~truth, mid, lo), np.where(split & truth, mid, hi)
+        return lo, hi, _closed(lo, hi, xtol)
+    lo, hi = lo.tolist(), hi.tolist()  # few brackets: grids and walks in Python floats
     for _ in range(max_iter):
-        if not _splittable(lo, hi, xtol).any():
+        if all(_closed(a, b, xtol) for a, b in zip(lo, hi)):
             break
-        nodes[:, 0], nodes[:, -1] = lo, hi
-        for level in range(levels):
-            h = cells >> (level + 1)
-            mids = nodes[:, h::2 * h]
-            np.add(nodes[:, :-h:2 * h], nodes[:, 2 * h::2 * h], out=mids)
-            mids *= 0.5
-        truth = np.asarray(pred(nodes[:, 1:-1]), dtype=bool)
-        split = _splittable(nodes[:, inner - half], nodes[:, inner + half], xtol)
-        table = stay.copy()
-        table[:, 2 * inner] += np.where(split, np.where(truth, -half, half), 0)
-        state = row_states + cells
-        for _ in range(levels):
-            state = table.take(state)
-        state -= row_states
-        w = state & -state
-        flat = nodes.ravel()
-        lo = flat.take(row_nodes + (state - w) // 2)
-        hi = flat.take(row_nodes + (state + w) // 2)
-    return lo, hi, ~_splittable(lo, hi, xtol)
+        grids = []
+        for a, b in zip(lo, hi):
+            grid = [a] * cells + [b]
+            h = cells // 2
+            while h:  # nodes h, 3h, 5h, ... halve the cells between nodes 2h apart
+                for j in range(h, cells, 2 * h):
+                    grid[j] = 0.5 * (grid[j - h] + grid[j + h])
+                h //= 2
+            grids.append(grid)
+        truth = np.asarray(pred(np.array(grids)[:, 1:-1]), dtype=bool).tolist()
+        for i, (grid, row) in enumerate(zip(grids, truth)):
+            a, b = 0, cells
+            while b - a > 1 and not _closed(grid[a], grid[b], xtol):
+                m = (a + b) // 2  # node m is the midpoint of [a, b]
+                a, b = (a, m) if row[m - 1] else (m, b)
+            lo[i], hi[i] = grid[a], grid[b]
+    lo, hi = np.array(lo), np.array(hi)
+    return lo, hi, _closed(lo, hi, xtol)
 
 
 def require_converged(converged: np.ndarray, lo, hi, search: str) -> None:

@@ -9,6 +9,7 @@ from normgeo import (PNorm, PolygonNorm, antipodality_defect,
                      four_distance_injectivity,
                      linearity_defect, make_chart, radial_point,
                      sample_sphere_map, top_face_half_width)
+from normgeo.charts import LinearImageNorm
 from normgeo.norms import HEX_VERTICES, radial_points_vec
 
 
@@ -40,6 +41,17 @@ def test_hexagon_chart_induced_norm_is_normalized(hexn):
 def test_chart_rejects_dependent_basis(euclid):
     with pytest.raises(ValueError, match="dependent"):
         make_chart(euclid, [[1, 0], [-1, 0]])
+
+
+@pytest.mark.parametrize("matrix, message", [
+    (((1.0, 2.0), (2.0, 4.0)), "nonsingular"),
+    (((np.nan, 0.0), (0.0, 1.0)), "finite"),
+    (((np.inf, 0.0), (0.0, 1.0)), "finite"),
+    (((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), "shape"),
+], ids=["singular", "nan", "inf", "2x3"])
+def test_linear_image_rejects_a_bad_matrix(matrix, message):
+    with pytest.raises(ValueError, match=f"matrix must be .*{message}"):
+        LinearImageNorm(PNorm(3.0, 2), matrix)
 
 
 def test_chart_rejects_unnormalized_basis(euclid):

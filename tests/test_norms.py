@@ -281,6 +281,12 @@ def test_lens_rejects_bad_shapes():
             LensNorm(offset=(bad, 0.0))
         with pytest.raises(ValueError, match="shape"):
             LensNorm(shape=((bad, 0.0), (0.0, 1.0)))
+    for short in ((1.0,), (1.0, 0.0, 0.0), "ab"):
+        with pytest.raises(ValueError, match="offset must be numbers of shape"):
+            LensNorm(offset=short)
+    for ragged in ((0.25, 0.75), ((0.25, 0.0),), ((0.25, 0.0), (0.0,))):
+        with pytest.raises(ValueError, match="shape must be numbers of shape"):
+            LensNorm(shape=ragged)
 
 
 def test_radial_gauge_reproduces_ellipse_norm():
@@ -327,6 +333,13 @@ def test_norm_from_json_rejects_garbage():
         norm_from_json({"kind": "nope"})
     with pytest.raises(ValueError):
         norm_from_json(["not", "a", "dict"])
+    for data, message in (({"kind": "pnorm"}, "pnorm needs field 'p'"),
+                          ({"kind": "polygon"}, "polygon needs field 'vertices'"),
+                          ({"kind": "revolution"}, "revolution needs field 'profile'"),
+                          ({"kind": "radial", "angles": [0.0]},
+                           "radial needs field 'values'")):
+        with pytest.raises(ValueError, match=message):
+            norm_from_json(data)
     # the JSON reader turns 1e309 into inf
     with pytest.raises(ValueError, match="scale"):
         norm_from_json(json.loads('{"kind": "euclidean", "scale": 1e309}'))

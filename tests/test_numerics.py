@@ -80,19 +80,22 @@ SEARCH_LO = ROOTS - np.array([0.3, 1.0, 1e-6, 5.0, 1e-9, 400.0])
 SEARCH_HI = ROOTS + np.array([0.7, 2.0, 3e-6, 0.5, 1.0, 1.0])
 
 
-def past_root(x):
-    return np.arctan(x - ROOTS[:, None]) >= 0.0
+XTOLS = [1e-13, 1e-6, 0.0]
 
 
-@pytest.mark.parametrize("xtol", [1e-13, 1e-6, 0.0])
-def test_bracket_search_batch_is_plain_bisection_bit_for_bit(xtol):
-    lo, hi, converged = bracket_search(past_root, SEARCH_LO, SEARCH_HI, xtol=xtol)
+# 6 brackets walk grids of 7 nodes; 40 take one vectorised midpoint per step
+@pytest.mark.parametrize("rows, xtol", [(6, x) for x in XTOLS] + [(40, x) for x in XTOLS],
+                         ids=[str(x) for x in XTOLS] + [f"40rows-{x}" for x in XTOLS])
+def test_bracket_search_batch_is_plain_bisection_bit_for_bit(rows, xtol):
+    roots, starts, stops = (np.resize(v, rows) for v in (ROOTS, SEARCH_LO, SEARCH_HI))
+    lo, hi, converged = bracket_search(lambda x: np.arctan(x - roots[:, None]) >= 0.0,
+                                       starts, stops, xtol=xtol)
     assert converged.all()
-    for k, (a, b) in enumerate(zip(SEARCH_LO, SEARCH_HI)):
-        alone = bracket_search(lambda x, k=k: np.arctan(x - ROOTS[k]) >= 0.0,
+    for k, (a, b) in enumerate(zip(starts, stops)):
+        alone = bracket_search(lambda x, k=k: np.arctan(x - roots[k]) >= 0.0,
                                [a], [b], xtol=xtol)
         assert (alone[0][0], alone[1][0]) == (lo[k], hi[k])
-        ref = plain_bisection(lambda t, k=k: math.atan(t - ROOTS[k]) >= 0.0, a, b, xtol)
+        ref = plain_bisection(lambda t, k=k: math.atan(t - roots[k]) >= 0.0, a, b, xtol)
         assert ref == (lo[k], hi[k])
     assert np.all(hi - lo <= xtol) or xtol == 0.0
 
@@ -112,6 +115,9 @@ def test_bracket_search_counts_one_call_per_step():
     shapes.clear()
     bracket_search(pred, np.zeros(6), np.full(6, 3.0))
     assert set(shapes[1:]) == {(6, 7)}
+    shapes.clear()
+    bracket_search(pred, np.zeros(40), np.full(40, 3.0))
+    assert set(shapes[1:]) == {(40, 1)}
 
 
 def test_bracket_search_to_zero_width_ends_on_adjacent_floats():
@@ -126,6 +132,12 @@ def test_bracket_search_closes_a_bracket_true_at_its_start():
     lo, hi, converged = bracket_search(lambda x: x >= 0.0, [0.0, -1.0], [1.0, 1.0])
     assert converged.all() and (lo[0], hi[0]) == (0.0, 0.0)
     assert lo[1] < 0.0 <= hi[1]
+    starts = np.full(40, -1.0)
+    starts[3], starts[5] = 0.0, np.nan
+    lo, hi, converged = bracket_search(lambda x: x >= 0.0, starts, np.ones(40))
+    assert (lo[3], hi[3]) == (0.0, 0.0) and not converged[5]
+    rest = np.delete(np.arange(40), 5)
+    assert converged[rest].all() and np.all(lo[rest] <= 0.0) and np.all(hi[rest] >= 0.0)
 
 
 def test_bracket_search_reports_the_iteration_cap():
@@ -134,6 +146,12 @@ def test_bracket_search_reports_the_iteration_cap():
     assert not converged.any()
     _, _, converged = bracket_search(lambda x: ~(x < 0.5), [np.nan], [1.0])
     assert not converged[0]
+    starts = np.zeros(40)
+    starts[3], starts[5] = 0.5, np.nan
+    lo, hi, converged = bracket_search(lambda x: ~(x < 0.3), starts, np.ones(40),
+                                       max_iter=2)
+    assert converged[3] and (lo[3], hi[3]) == (0.5, 0.5)
+    assert not np.delete(converged, 3).any()
 
 
 def test_searches_raise_on_a_bracket_without_a_boundary():

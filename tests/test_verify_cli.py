@@ -152,7 +152,7 @@ def test_cli_rejects_unknown_norm(capsys):
     assert main(["validate", "--norm", "nonsense"]) == 2
 
 
-def test_cli_rejects_malformed_file(tmp_path):
+def test_cli_rejects_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": "bogus"}')
     assert main(["modulus", "--norm", str(bad)]) == 2
@@ -171,6 +171,14 @@ def test_cli_rejects_malformed_file(tmp_path):
         spec = tmp_path / f"{name}.json"
         spec.write_text(text)
         assert main(["validate", "--norm", str(spec)]) == 2
+    capsys.readouterr()
+    for name, text, message in (
+            ("short_offset", '{"kind": "lens", "offset": [1.0]}', "offset must be"),
+            ("no_p", '{"kind": "pnorm"}', "pnorm needs field 'p'")):
+        spec = tmp_path / f"{name}.json"
+        spec.write_text(text)
+        assert main(["validate", "--norm", str(spec)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_cli_norm_json_round_trip_precision(tmp_path, capsys):
