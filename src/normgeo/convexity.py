@@ -5,6 +5,20 @@ is reached at ``||b1 - b2|| = eps`` (Figiel 1976), and the chord from ``b1``
 grows monotonically along either half circle, so each ``b1`` has one partner
 ``b2`` per side and ``delta`` is a 1-D search over the angle of ``b1``.  Flat
 faces reach the sum 2 and give exactly 0.
+
+Each partner is found by the same 45 lockstep halvings of ``[0, pi]``, but
+most midpoints cost no norm call.  A cubic fit through partners already
+found gives each angle a bracket ``[a, b]``, checked once at both ends: the
+chord is below ``eps`` at ``a`` and at least ``eps`` at ``b``.  By
+monotonicity a midpoint ``<= a`` is then short of ``eps`` and one ``>= b``
+reaches it, so the halvings take the same steps and end on the same partner
+as with a norm call at every midpoint.  An end whose check fails reverts to
+0 or pi.  The first grid searches every 8th angle of each side in full and
+fits the angles at stride 4, 2 and 1 from the coarser partners; every zoom
+angle is fitted from the whole first grid.  The chord as computed is
+monotone up to rounding, which can only reorder chords within about 1e-16 of
+``eps``: that matters where the chord is flat at ``eps``, as at ``eps = 2``
+(the antipode), so there every midpoint is evaluated.
 """
 
 from __future__ import annotations
@@ -31,10 +45,17 @@ _FLAT_FLOOR = 2.0 - 1e-12
 # over one step either side of the best 4 (a step 32 times finer).  Two zooms
 # bring a smooth maximum within 1e-12, but a polygon's sum peaks on a kink
 # (the partner at a vertex) and errs by about the step: five zooms leave
-# 2pi / (8 * resolution * 32**5), 4.5e-11 at the default resolution.
+# 2pi / (8 * resolution * 32**5), 4.5e-11 at the default resolution.  The
+# multiple is a power of two: every 8th angle is searched in full, and the
+# angles between are fitted at strides 4, 2 and 1.
 _GRID_MULTIPLE, _CANDIDATES, _ZOOM_POINTS, _ZOOMS = 8, 4, 65, 5
 # 8 * 64 first-grid angles still give the closed forms within 1e-13.
 _MIN_RESOLUTION = 64
+# Half-width of a fitted bracket: 1/16 of the larger 4th difference of the
+# partners around it (a cubic fit errs by about 3/128 of it) plus 16 last
+# halvings, the noise of the partners it is fitted to.  Both set only how many
+# midpoints cost a norm call, never which partner is found.
+_FIT_SHARE, _FIT_SLACK = 1.0 / 16.0, 16.0 * math.pi / 2.0 ** _HALVINGS
 
 
 def _checked_resolution(norm: Norm, name: str, chord: float, resolution) -> int:
@@ -49,20 +70,89 @@ def _checked_resolution(norm: Norm, name: str, chord: float, resolution) -> int:
     return int(resolution)
 
 
-def _partner_sums(norm: Norm, eps: float, thetas: np.ndarray,
-                  sides: np.ndarray) -> np.ndarray:
-    """``||x + y||`` for ``x = s(theta)`` and ``y = s(theta + side * t)``, ``t``
-    the first point of ``[0, pi]`` whose chord ``||x - y||`` reaches ``eps``.
+def _chords(norm: Norm, x: np.ndarray, thetas: np.ndarray, sides: np.ndarray,
+            t) -> np.ndarray:
+    """``||x - s(theta + side * t)||``, the chord to a partner candidate."""
+    return norm(x - radial_points_vec(norm, thetas + sides * t))
 
-    All brackets are halved in lockstep, two batched norm calls per halving.
+
+def _partners(norm: Norm, eps: float, x: np.ndarray, thetas: np.ndarray,
+              sides: np.ndarray, a, b) -> np.ndarray:
+    """The first ``t`` of ``[0, pi]``, to the last halving, whose chord
+    reaches ``eps``, for ``x = s(theta)``.
+
+    All brackets are halved in lockstep.  The chord is known to be below
+    ``eps`` at ``t <= a`` and at least ``eps`` at ``t >= b``, so only the
+    midpoints strictly inside ``(a, b)`` cost a norm call.
     """
-    x = radial_points_vec(norm, thetas)
     lo, hi = np.zeros_like(thetas), np.full_like(thetas, math.pi)
     for _ in range(_HALVINGS):
         mid = 0.5 * (lo + hi)
-        far = norm(x - radial_points_vec(norm, thetas + sides * mid)) >= eps
+        far = mid >= b
+        inside = np.flatnonzero((mid > a) ^ far)
+        if inside.size:
+            far[inside] = _chords(norm, x[inside], thetas[inside], sides[inside],
+                                  mid[inside]) >= eps
         lo, hi = np.where(far, lo, mid), np.where(far, mid, hi)
-    return norm(x + radial_points_vec(norm, thetas + sides * hi))
+    return hi
+
+
+def _checked_partners(norm: Norm, eps: float, x: np.ndarray, thetas: np.ndarray,
+                      sides: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_partners`` within brackets ``[a, b]`` whose ends are checked first.
+
+    An end whose check fails reverts to 0 or pi, so a poor bracket costs norm
+    calls but never changes a partner.  At ``eps = 2`` no bracket is used:
+    the chord is flat at the antipode, where rounding breaks its monotonicity.
+    """
+    if eps == 2.0:
+        return _partners(norm, eps, x, thetas, sides, 0.0, math.pi)
+    a = np.where(_chords(norm, x, thetas, sides, a) < eps, a, 0.0)
+    b = np.where(_chords(norm, x, thetas, sides, b) >= eps, b, math.pi)
+    return _partners(norm, eps, x, thetas, sides, a, b)
+
+
+def _fitted_partners(norm: Norm, eps: float, x: np.ndarray, thetas: np.ndarray,
+                     sides: np.ndarray, table: np.ndarray, pos: np.ndarray
+                     ) -> np.ndarray:
+    """``_checked_partners`` in brackets around a cubic fit of ``table``.
+
+    ``table`` holds known partners at equal angle steps, one periodic row per
+    side (+1, then -1), and ``pos`` the position of each angle in steps.  The
+    fit runs through the four nearest partners; the 4th differences of the
+    six nearest set its margin.
+    """
+    near = np.floor(pos)
+    f = pos - near
+    cols = (near.astype(int)[:, None] + np.arange(-2, 4)) % table.shape[1]
+    known = table[(sides < 0.0).astype(int)[:, None], cols]
+    fit = ((f + 1.0) * (f - 1.0) * (f - 2.0) / 2.0 * known[:, 2]
+           - (f + 1.0) * f * (f - 2.0) / 2.0 * known[:, 3]
+           + f * (f - 1.0) / 6.0 * ((f + 1.0) * known[:, 4] - (f - 2.0) * known[:, 1]))
+    margin = _FIT_SHARE * np.abs(np.diff(known, 4, axis=1)).max(axis=1) + _FIT_SLACK
+    return _checked_partners(norm, eps, x, thetas, sides,
+                             np.clip(fit - margin, 0.0, math.pi),
+                             np.clip(fit + margin, 0.0, math.pi))
+
+
+def _grid_partners(norm: Norm, eps: float, x: np.ndarray, thetas: np.ndarray,
+                   sides: np.ndarray) -> np.ndarray:
+    """Partners of the first grid: every ``_GRID_MULTIPLE``-th angle of each
+    side searched in full, then the angles halfway between known partners
+    fitted from them, halving the stride down to 1."""
+    rows = np.arange(thetas.size).reshape(2, -1)
+    partners = np.empty_like(thetas)
+    stride = _GRID_MULTIPLE
+    new = rows[:, ::stride].ravel()
+    partners[new] = _partners(norm, eps, x[new], thetas[new], sides[new], 0.0, math.pi)
+    while stride > 1:
+        half = stride // 2
+        new = rows[:, half::stride].ravel()
+        partners[new] = _fitted_partners(
+            norm, eps, x[new], thetas[new], sides[new], partners[rows[:, ::stride]],
+            (new % rows.shape[1]) / stride)
+        stride = half
+    return partners
 
 
 def _best_sum(norm: Norm, eps: float, resolution: int) -> float:
@@ -71,8 +161,11 @@ def _best_sum(norm: Norm, eps: float, resolution: int) -> float:
     step = TWO_PI / count
     thetas = np.tile(np.arange(count) * step, 2)
     sides = np.repeat([1.0, -1.0], count)
-    sums = _partner_sums(norm, eps, thetas, sides)
+    x = radial_points_vec(norm, thetas)
+    partners = _grid_partners(norm, eps, x, thetas, sides)
+    sums = norm(x + radial_points_vec(norm, thetas + sides * partners))
     best = float(sums.max())
+    table, grid_step = partners.reshape(2, count), step
     for _ in range(_ZOOMS):
         if best >= _FLAT_FLOOR:
             break
@@ -80,7 +173,10 @@ def _best_sum(norm: Norm, eps: float, resolution: int) -> float:
         thetas = (thetas[top, None] + np.linspace(-step, step, _ZOOM_POINTS)).ravel()
         sides = np.repeat(sides[top], _ZOOM_POINTS)
         step *= 2.0 / (_ZOOM_POINTS - 1)
-        sums = _partner_sums(norm, eps, thetas, sides)
+        x = radial_points_vec(norm, thetas)
+        partners = _fitted_partners(norm, eps, x, thetas, sides, table,
+                                    thetas / grid_step)
+        sums = norm(x + radial_points_vec(norm, thetas + sides * partners))
         best = max(best, float(sums.max()))
     return best
 

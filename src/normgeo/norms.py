@@ -295,20 +295,31 @@ def diamond_norm() -> PolygonNorm:
     return PolygonNorm(((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)))
 
 
-def _ellipse_gauge(batch: np.ndarray, shape: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Minkowski gauge, w.r.t. the origin, of an off-center ellipse.
+def _ellipse_coefficients(shape: np.ndarray, center: np.ndarray) -> tuple[float, ...]:
+    """``(M00, M01, M10, M11, w0, w1, C)`` of ``_ellipse_gauges``: the shape
+    matrix ``M``, ``w = M c`` and ``C = c^T M c - 1``."""
+    return (*shape.ravel().tolist(), *(shape @ center).tolist(),
+            float(center @ shape @ center) - 1.0)
+
+
+def _ellipse_gauges(batch: np.ndarray, coefficients: tuple[float, ...]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Minkowski gauges, w.r.t. the origin, of an off-center ellipse and of
+    its mirror image through the origin.
 
     The ellipse is ``{u : (u-c)^T M (u-c) <= 1}`` and must contain the origin
     in its interior.  The gauge solves a quadratic in 1/lambda; with
     ``C = c^T M c - 1 < 0`` the positive root is ``(B + sqrt(disc)) / (2|C|)``,
-    which never cancels catastrophically.
+    which never cancels catastrophically.  The mirror image, centred at
+    ``-c``, has the same quadratic with ``-B``.  Every term is computed row
+    by row, so a vector's gauge does not depend on its batch.
     """
-    quad = np.einsum("ni,ij,nj->n", batch, shape, batch)
-    lin = -2.0 * (batch @ (shape @ center))
-    const = float(center @ shape @ center) - 1.0
-    disc = lin * lin - 4.0 * quad * const
-    root = (lin + np.sqrt(disc)) / (-2.0 * const)
-    return root
+    m00, m01, m10, m11, w0, w1, const = coefficients
+    x, y = batch[:, 0], batch[:, 1]
+    quad = (x * m00) * x + (x * m01) * y + (y * m10) * x + (y * m11) * y
+    lin = -2.0 * (x * w0 + y * w1)
+    root = np.sqrt(lin * lin - 4.0 * quad * const)
+    return (lin + root) / (-2.0 * const), (root - lin) / (-2.0 * const)
 
 
 # Lens gauge values within 2^-100 .. 2^100 stand as computed: for a shape
@@ -349,8 +360,7 @@ class LensNorm(Norm):
             raise ValueError("shape matrix must be positive definite")
         if float(c @ m @ c) >= 1.0:
             raise ValueError("the origin must lie strictly inside both ellipses")
-        object.__setattr__(self, "_shape_arr", m)
-        object.__setattr__(self, "_offset_arr", c)
+        object.__setattr__(self, "_coefficients", _ellipse_coefficients(m, c))
         object.__setattr__(self, "_corners", self._find_corners())
 
     def _gauge(self, batch):
@@ -366,17 +376,15 @@ class LensNorm(Norm):
         return out
 
     def _ellipses(self, batch):
-        m, c = self._shape_arr, self._offset_arr
-        return np.maximum(_ellipse_gauge(batch, m, c), _ellipse_gauge(batch, m, -c))
+        return np.maximum(*_ellipse_gauges(batch, self._coefficients))
 
     def _find_corners(self) -> tuple[float, ...]:
         # Corners sit where the two ellipse gauges agree on the sphere: one
         # batched pass over a grid, then one search over every sign change.
-        m, c = self._shape_arr, self._offset_arr
-
         def diff(theta: np.ndarray) -> np.ndarray:
             u = np.column_stack([np.cos(theta), np.sin(theta)])
-            return _ellipse_gauge(u, m, c) - _ellipse_gauge(u, m, -c)
+            plus, minus = _ellipse_gauges(u, self._coefficients)
+            return plus - minus
 
         grid = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
         vals = diff(grid)
@@ -490,9 +498,13 @@ class RadialGaugeNorm(Norm):
     def from_table(angles: Sequence[float], values: Sequence[float]) -> "RadialGaugeNorm":
         """Build from sampled (angle, radius) pairs, interpolated periodically."""
         ang = np.mod(np.asarray(angles, dtype=float), TWO_PI)
+        val = np.asarray(values, dtype=float)
+        if ang.ndim != 1 or val.shape != ang.shape:
+            raise ValueError(f"angles and values must be lists of the same length, "
+                             f"got shapes {ang.shape} and {val.shape}")
         order = np.argsort(ang)
         ang = ang[order]
-        val = np.asarray(values, dtype=float)[order]
+        val = val[order]
         ang_ext = np.concatenate([ang, ang[:1] + TWO_PI])
         val_ext = np.concatenate([val, val[:1]])
 
@@ -635,12 +647,22 @@ def norm_from_json(data: dict) -> Norm:
             raise ValueError(f"{kind} needs field {name!r}")
         return data[name]
 
+    def dim() -> int:
+        raw = data.get("dim", 2)
+        if isinstance(raw, bool) or not isinstance(raw, (int, np.integer)):
+            raise ValueError(f"dim must be an integer, got {raw!r}")
+        return int(raw)
+
     if kind == "pnorm":
-        return PNorm(_parse_p(field("p")), int(data.get("dim", 2)))
+        return PNorm(_parse_p(field("p")), dim())
     if kind == "euclidean":
-        return EuclideanNorm(float(data.get("scale", 1.0)), int(data.get("dim", 2)))
+        return EuclideanNorm(float(data.get("scale", 1.0)), dim())
     if kind == "polygon":
-        return PolygonNorm(tuple((float(x), float(y)) for x, y in field("vertices")))
+        vertices = field("vertices")
+        if not isinstance(vertices, (list, tuple)):
+            raise ValueError(f"vertices must be a list of [x, y] pairs, got {vertices!r}")
+        return PolygonNorm(tuple(tuple(_float_array(v, (2,), f"vertices[{i}]").tolist())
+                                 for i, v in enumerate(vertices)))
     if kind == "hexagonal":
         return HexagonalNorm()
     if kind == "lens":

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from normgeo import (EuclideanNorm, PNorm, PolygonNorm, is_strictly_convex,
-                     modulus_curve, modulus_of_convexity)
+from normgeo import (EuclideanNorm, LensNorm, PNorm, PolygonNorm, convexity,
+                     diamond_norm, hexagonal_norm, is_strictly_convex,
+                     modulus_curve, modulus_of_convexity, square_norm)
 from normgeo.charts import LinearImageNorm
-from normgeo.norms import HEX_VERTICES
+from normgeo.norms import HEX_VERTICES, radial_points_vec
 
 P3_IMAGE_MATRIX = ((-0.285, -0.981), (0.953, -0.231))
 SWEEP_BANDS = ((0.2, 0.8), (0.8, 1.4), (1.4, 1.95))
@@ -172,3 +173,122 @@ def test_strict_convexity_rejects_bad_separation(p3):
     for bad in (0.0, -1e-3, 2.5, float("nan")):
         with pytest.raises(ValueError, match="separation"):
             is_strictly_convex(p3, separation=bad)
+
+
+def lockstep_partner_sums(norm, eps, thetas, sides):
+    """The partner search without brackets: each of the 45 lockstep halvings
+    of [0, pi] evaluates the chord at every midpoint."""
+    x = radial_points_vec(norm, thetas)
+    lo, hi = np.zeros_like(thetas), np.full_like(thetas, math.pi)
+    for _ in range(45):
+        mid = 0.5 * (lo + hi)
+        far = norm(x - radial_points_vec(norm, thetas + sides * mid)) >= eps
+        lo, hi = np.where(far, lo, mid), np.where(far, mid, hi)
+    return norm(x + radial_points_vec(norm, thetas + sides * hi))
+
+
+def first_grid(resolution):
+    count = 8 * resolution
+    return (np.tile(np.arange(count) * (2.0 * math.pi / count), 2),
+            np.repeat([1.0, -1.0], count))
+
+
+def lockstep_best_sum(norm, eps, resolution):
+    """``_best_sum`` with every partner from ``lockstep_partner_sums``."""
+    thetas, sides = first_grid(resolution)
+    step = 2.0 * math.pi / (8 * resolution)
+    sums = lockstep_partner_sums(norm, eps, thetas, sides)
+    best = float(sums.max())
+    for _ in range(5):
+        if best >= 2.0 - 1e-12:
+            break
+        top = np.argpartition(sums, -4)[-4:]
+        thetas = (thetas[top, None] + np.linspace(-step, step, 65)).ravel()
+        sides = np.repeat(sides[top], 65)
+        step *= 2.0 / 64
+        sums = lockstep_partner_sums(norm, eps, thetas, sides)
+        best = max(best, float(sums.max()))
+    return best
+
+
+def bracket_subjects():
+    """The builtin 2D norms, l_1.5 and a seeded hexagon and l_3 image."""
+    matrix, _ = seeded_matrix(11)
+    hex_image = tuple(map(tuple, np.asarray(HEX_VERTICES) @ np.asarray(matrix).T))
+    return {"euclidean": EuclideanNorm(), "p3": PNorm(3.0, 2), "p1.5": PNorm(1.5, 2),
+            "lens": LensNorm(), "hexagonal": hexagonal_norm(), "square": square_norm(),
+            "diamond": diamond_norm(), "hex-image": PolygonNorm(hex_image),
+            "p3-image": LinearImageNorm(PNorm(3.0, 2), matrix)}
+
+
+BRACKET_SUBJECTS = bracket_subjects()
+BRACKET_EPS = (5e-3, 0.5, 1.1, 1.7, 1.95)
+
+
+@pytest.mark.parametrize("name", BRACKET_SUBJECTS)
+def test_first_grid_partner_sums_equal_the_lockstep_search(name):
+    norm = BRACKET_SUBJECTS[name]
+    thetas, sides = first_grid(128)
+    x = radial_points_vec(norm, thetas)
+    for eps in BRACKET_EPS:
+        partners = convexity._grid_partners(norm, eps, x, thetas, sides)
+        sums = norm(x + radial_points_vec(norm, thetas + sides * partners))
+        assert np.array_equal(sums, lockstep_partner_sums(norm, eps, thetas, sides)), eps
+
+
+@pytest.mark.parametrize("name", BRACKET_SUBJECTS)
+def test_best_sum_equals_the_lockstep_search_with_zooms(name):
+    norm = BRACKET_SUBJECTS[name]
+    # at eps = 2 fitted brackets would move the result (the chord is flat at
+    # the antipode), so every midpoint is evaluated there
+    for eps in (1.1, 1.95, 2.0):
+        assert convexity._best_sum(norm, eps, 64) == lockstep_best_sum(norm, eps, 64), eps
+
+
+@pytest.fixture
+def chord_rows(monkeypatch):
+    """Row counts of every chord evaluation the partner search makes."""
+    rows = []
+    chords = convexity._chords
+
+    def counted(norm, x, thetas, sides, t):
+        rows.append(len(thetas))
+        return chords(norm, x, thetas, sides, t)
+    monkeypatch.setattr(convexity, "_chords", counted)
+    return rows
+
+
+def test_wrong_brackets_revert_to_the_plain_search(p3, chord_rows):
+    """Brackets past, short of or around the partner give the plain partners;
+    only a bracket that holds it skips midpoints."""
+    eps = 1.1
+    thetas = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)
+    sides = np.where(np.arange(40) % 2 == 0, 1.0, -1.0)
+    x = radial_points_vec(p3, thetas)
+    plain = convexity._partners(p3, eps, x, thetas, sides, 0.0, math.pi)
+    assert np.array_equal(
+        p3(x + radial_points_vec(p3, thetas + sides * plain)),
+        lockstep_partner_sums(p3, eps, thetas, sides))
+    for a, b in ((plain + 0.1, plain + 0.2),    # past the partner: a fails
+                 (plain - 0.2, plain - 0.1),    # short of it: b fails
+                 (plain + 0.1, plain - 0.1),    # swapped: both fail
+                 (plain - 1e-9, plain + 1e-9)):  # holds it
+        chord_rows.clear()
+        got = convexity._checked_partners(p3, eps, x, thetas, sides,
+                                          np.clip(a, 0.0, math.pi), np.clip(b, 0.0, math.pi))
+        assert np.array_equal(got, plain)
+    assert sum(chord_rows) < 20 * thetas.size  # 2 checks and about 16 midpoints per angle
+
+
+def test_fitted_brackets_skip_most_midpoints(p3, chord_rows):
+    thetas, sides = first_grid(512)
+    convexity._grid_partners(p3, 1.1, radial_points_vec(p3, thetas), thetas, sides)
+    # 45 chords on every 8th angle, 2 checks and about 16 midpoints on the
+    # rest: 21.3 per angle, against 45 without brackets
+    assert sum(chord_rows) < 24 * thetas.size
+
+
+def test_modulus_at_two_is_unchanged(p3):
+    delta = modulus_of_convexity(p3, 2.0)
+    assert delta == 1.0 - 0.5 * lockstep_best_sum(p3, 2.0, 512)
+    assert delta == pytest.approx(0.9999927, abs=1e-7)  # rounding leaves 7.3e-6

@@ -219,14 +219,15 @@ TILTED_LENS = dict(shape=((0.3, 0.05), (0.05, 0.6)), offset=(0.9, 0.3))
 def test_lens_corners_match_a_scalar_bisection(lens):
     """The batched corner search agrees with one scalar bisection per grid
     cell where the two ellipse gauges swap."""
-    from normgeo.norms import _ellipse_gauge
+    from normgeo.norms import _ellipse_gauges
     from normgeo.numerics import bisect_root
     for norm in (lens, LensNorm(**TILTED_LENS)):
-        m, c = norm._shape_arr, norm._offset_arr
+        coefficients = norm._coefficients
 
         def diff(t):
             u = np.array([[math.cos(t), math.sin(t)]])
-            return float(_ellipse_gauge(u, m, c)[0] - _ellipse_gauge(u, m, -c)[0])
+            plus, minus = _ellipse_gauges(u, coefficients)
+            return float(plus[0] - minus[0])
 
         grid = np.linspace(0.0, 2 * math.pi, 1024, endpoint=False)
         vals = [diff(t) for t in grid]
@@ -346,6 +347,29 @@ def test_norm_from_json_rejects_garbage():
     for bad in (math.inf, math.nan, 0.0):
         with pytest.raises(ValueError, match="scale"):
             EuclideanNorm(scale=bad)
+
+
+def test_radial_table_needs_one_value_per_angle():
+    for angles, values in (([0.0, 1.0], [1.0]), ([0.0], [1.0, 2.0]), ([[0.0, 1.0]], [[1.0, 1.0]])):
+        with pytest.raises(ValueError, match="angles and values must be lists of the same length"):
+            RadialGaugeNorm.from_table(angles, values)
+    with pytest.raises(ValueError, match="angles and values"):
+        norm_from_json({"kind": "radial", "angles": [0, 1], "values": [1]})
+
+
+def test_norm_from_json_names_bad_fields():
+    for data, message in (
+            ({"kind": "pnorm", "p": 3, "dim": "x"}, "dim must be an integer, got 'x'"),
+            ({"kind": "euclidean", "dim": 2.5}, "dim must be an integer, got 2.5"),
+            ({"kind": "pnorm", "p": 3, "dim": True}, "dim must be an integer"),
+            ({"kind": "polygon", "vertices": [[1, 0, 0], [0, 1, 0]]}, r"vertices\[0\] must be"),
+            ({"kind": "polygon", "vertices": [[1, 0], [0, 1], [-1, 0], [0]]},
+             r"vertices\[3\] must be"),
+            ({"kind": "polygon", "vertices": [[1, 0], "ab"]}, r"vertices\[1\] must be"),
+            ({"kind": "polygon", "vertices": 3}, "vertices must be a list")):
+        with pytest.raises(ValueError, match=message):
+            norm_from_json(data)
+    assert norm_from_json({"kind": "pnorm", "p": 3, "dim": 3}) == PNorm(3.0, 3)
 
 
 def test_builtin_norm_names():

@@ -181,6 +181,19 @@ def test_cli_rejects_malformed_file(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_cli_names_the_bad_field(tmp_path, capsys):
+    for name, text, message in (
+            ("short_values", '{"kind": "radial", "angles": [0, 1], "values": [1]}',
+             "angles and values must be lists of the same length"),
+            ("text_dim", '{"kind": "pnorm", "p": 3, "dim": "x"}', "dim must be an integer"),
+            ("long_vertex", '{"kind": "polygon", "vertices": [[1, 0, 0], [0, 1, 0]]}',
+             "vertices[0] must be")):
+        spec = tmp_path / f"{name}.json"
+        spec.write_text(text)
+        assert main(["validate", "--norm", str(spec)]) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_cli_norm_json_round_trip_precision(tmp_path, capsys):
     # decimal round-trip through a file: evaluations agree to full precision
     spec = tmp_path / "lens.json"
