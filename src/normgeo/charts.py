@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .norms import Norm, SpherePoint, _float_array, radial_points_vec
+from .norms import Norm, SpherePoint, _float_array, _integer, radial_points_vec
 from .sphere import ArcSet
 from .numerics import TWO_PI, bracket_search, require_converged
 
@@ -251,9 +251,12 @@ def four_distance_injectivity(norm: Norm, u1, u2, resolution: int = 4096,
     The search is a sort-and-sweep closest pair: the tuples are sorted by
     ``||v+u1||``, and each sorted row is compared with the rows 1, 2, ...
     places after it while the key difference, a lower bound of the gap,
-    stays within the best gap found so far.
+    stays within the best gap found so far.  Only the pairs whose
+    ``||v+u2||`` difference, a second lower bound, is also within it need
+    the full gap.
 
-    Raises ``ValueError`` when no sample pair is far apart, when ``u1`` or
+    Raises ``ValueError`` when ``resolution`` or ``min_separation_steps`` is
+    not an integer, when no sample pair is far apart, when ``u1`` or
     ``u2`` is not a finite 2D vector or is so long that the rounding of its
     distances, ``||u|| * 2^-52``, exceeds ``tol`` or they overflow or do not
     vary over the sphere, and when ``tol`` is negative or NaN.
@@ -271,10 +274,10 @@ def four_distance_injectivity(norm: Norm, u1, u2, resolution: int = 4096,
         if not rounding <= tol:
             raise ValueError(f"{name} {u!r} is too long for tol {tol!r}: its distances "
                              f"carry a rounding of {rounding:.1e}")
-    m = min_separation_steps
+    m = _integer(min_separation_steps, "min_separation_steps")
     if m < 0:
         raise ValueError(f"min_separation_steps must be >= 0, got {m!r}")
-    n = resolution
+    n = _integer(resolution, "resolution")
     if n <= 2 * m + 1:
         raise ValueError(f"resolution must exceed 2 * min_separation_steps + 1 = "
                          f"{2 * m + 1} so that some sample pair is far apart, got {n!r}")
@@ -303,10 +306,12 @@ def four_distance_injectivity(norm: Norm, u1, u2, resolution: int = 4096,
         rows = rows[rows < n - k]
         # the key gap never shrinks as k grows, and ties with best are kept
         rows = rows[keys[rows + k] - keys[rows] <= best]
-        i, j = order[rows], order[rows + k]
+        # the ||v+u2|| gap bounds the sup-gap as well, but only for this k
+        near = rows[np.abs(ranked[rows + k, 2] - ranked[rows, 2]) <= best]
+        i, j = order[near], order[near + k]
         sep = np.abs(i - j)
         gaps = np.where(np.minimum(sep, n - sep) > m,
-                        np.abs(ranked[rows + k] - ranked[rows]).max(axis=1), np.inf)
+                        np.abs(ranked[near + k] - ranked[near]).max(axis=1), np.inf)
         g = float(gaps.min(initial=np.inf))
         if g <= best:
             c = _lowest_pair(i, j, gaps == g, n)

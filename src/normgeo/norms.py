@@ -51,6 +51,13 @@ def _float_array(value, shape: tuple[int, ...], field: str) -> np.ndarray:
     return arr
 
 
+def _integer(value, field: str) -> int:
+    """``value`` as an int, else ``ValueError`` naming ``field`` (bools too)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
 _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
 # s ** fl(1/p) is off by |ln r| * 2^-53 relative at a result r, the rounding
@@ -648,10 +655,7 @@ def norm_from_json(data: dict) -> Norm:
         return data[name]
 
     def dim() -> int:
-        raw = data.get("dim", 2)
-        if isinstance(raw, bool) or not isinstance(raw, (int, np.integer)):
-            raise ValueError(f"dim must be an integer, got {raw!r}")
-        return int(raw)
+        return _integer(data.get("dim", 2), "dim")
 
     if kind == "pnorm":
         return PNorm(_parse_p(field("p")), dim())

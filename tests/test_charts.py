@@ -203,6 +203,13 @@ def test_injectivity_scan_matches_brute_force(scan_norms, n, basis):
     ({"tol": -1.0}, "tol"),
     ({"u1": [1e12, 0.0]}, "u1"),
     ({"u2": [0.0, -1e12]}, "u2"),
+    ({"resolution": 4.5}, "resolution"),
+    ({"resolution": 256.0}, "resolution"),
+    ({"resolution": True}, "resolution"),
+    ({"resolution": "256"}, "resolution"),
+    ({"min_separation_steps": 1.5}, "min_separation_steps"),
+    ({"min_separation_steps": 4.0}, "min_separation_steps"),
+    ({"min_separation_steps": True}, "min_separation_steps"),
 ])
 def test_injectivity_rejects_scans_that_certify_nothing(euclid, kwargs, name):
     args = {"u1": [1.0, 0.0], "u2": [0.0, 1.0], "resolution": 256, **kwargs}

@@ -175,6 +175,13 @@ def test_strict_convexity_rejects_bad_separation(p3):
             is_strictly_convex(p3, separation=bad)
 
 
+def test_strict_convexity_rejects_bad_threshold(square):
+    for bad in (float("nan"), -1.0, -1e-300, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="threshold"):
+            is_strictly_convex(square, 64, threshold=bad)
+    assert not is_strictly_convex(square, 64, threshold=0.0)
+
+
 def lockstep_partner_sums(norm, eps, thetas, sides):
     """The partner search without brackets: each of the 45 lockstep halvings
     of [0, pi] evaluates the chord at every midpoint."""
@@ -286,6 +293,74 @@ def test_fitted_brackets_skip_most_midpoints(p3, chord_rows):
     # 45 chords on every 8th angle, 2 checks and about 16 midpoints on the
     # rest: 21.3 per angle, against 45 without brackets
     assert sum(chord_rows) < 24 * thetas.size
+
+
+def test_secant_cells_take_few_chords(p3, chord_rows):
+    thetas, sides = first_grid(512)
+    convexity._grid_partners(p3, 1.1, radial_points_vec(p3, thetas), thetas, sides)
+    # 12 regula falsi steps and 2 cell ends on every 8th angle, 2 bracket ends
+    # and 2 cell ends on the rest, a few more where a cell misses: 5.3 per angle
+    assert sum(chord_rows) < 8 * thetas.size
+
+
+@pytest.mark.parametrize("estimate", ["cell low", "cell high", "nan", "at a", "at b"])
+@pytest.mark.parametrize("bracketed", [True, False])
+def test_missed_cells_keep_the_lockstep_partners(p3, monkeypatch, estimate, bracketed):
+    """Secant estimates forced one cell below or above the partner, to NaN
+    or to a bracket end miss every cell; the failed ends tighten the bracket
+    and the partners stay those of the lockstep search."""
+    eps = 1.1
+    thetas = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
+    sides = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
+    x = radial_points_vec(p3, thetas)
+    plain = convexity._partners(p3, eps, x, thetas, sides, 0.0, math.pi)
+    below = convexity._cell(plain)[0]  # the lockstep's last lo: one cell low
+    got = np.empty_like(plain)
+    for i in range(thetas.size):
+        forced = {"cell low": lambda br: np.full(1, below[i]),
+                  "cell high": lambda br: np.nextafter(plain[i:i + 1], 4.0),
+                  "nan": lambda br: np.full(1, math.nan),
+                  "at a": lambda br: br[convexity._A],
+                  "at b": lambda br: br[convexity._B]}[estimate]
+        monkeypatch.setattr(convexity, "_secant", forced)
+        ends = (plain[i:i + 1] - 1e-9, plain[i:i + 1] + 1e-9) if bracketed else ()
+        got[i] = convexity._checked_partners(p3, eps, x[i:i + 1], thetas[i:i + 1],
+                                             sides[i:i + 1], *ends)[0]
+    assert np.array_equal(p3(x + radial_points_vec(p3, thetas + sides * got)),
+                          lockstep_partner_sums(p3, eps, thetas, sides))
+
+
+@pytest.mark.parametrize("name, eps", [
+    ("diamond", 1.0),       # the chord is eps along a face
+    ("hexagonal", 1.5),     # a face's chord ends at eps, at a vertex
+    ("p3-image", 1.99), ("lens", 1.999),
+    ("euclidean", 1.99999), ("p1.5", 1.99999),  # near the antipode
+])
+def test_first_grid_partners_equal_the_lockstep_search_where_rounding_decides(name, eps):
+    """Where the chord is flat at eps, rounding orders the chords of nearby
+    midpoints: a cell must not decide them, the halvings must."""
+    norm = BRACKET_SUBJECTS[name]
+    thetas, sides = first_grid(128)
+    x = radial_points_vec(norm, thetas)
+    partners = convexity._grid_partners(norm, eps, x, thetas, sides)
+    sums = norm(x + radial_points_vec(norm, thetas + sides * partners))
+    assert np.array_equal(sums, lockstep_partner_sums(norm, eps, thetas, sides))
+
+
+@pytest.mark.parametrize("name", ["hex-image", "p3-image"])
+def test_one_chord_rounds_as_in_a_batch(name):
+    """numpy multiplies a single row on another path; the chord of one angle
+    must still equal the same chord in a larger batch."""
+    norm = BRACKET_SUBJECTS[name]
+    rng = np.random.default_rng(5)
+    thetas = rng.uniform(0.0, 2.0 * math.pi, 400)
+    sides = np.where(rng.random(400) < 0.5, 1.0, -1.0)
+    t = rng.uniform(0.0, math.pi, 400)
+    x = radial_points_vec(norm, thetas)
+    batch = convexity._chords(norm, x, thetas, sides, t)
+    one = [convexity._chords(norm, x[i:i + 1], thetas[i:i + 1], sides[i:i + 1], t[i:i + 1])[0]
+           for i in range(400)]
+    assert np.array_equal(np.array(one), batch)
 
 
 def test_modulus_at_two_is_unchanged(p3):
