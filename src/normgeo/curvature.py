@@ -79,18 +79,28 @@ class TwoPointConditionError(ValueError):
         self.count = count
 
 
-def _two_points_at_distance(ambient: Norm, curve: ClosedCurve, t0: float,
-                            delta: float, grid: int = 4096):
-    """The two curve points at ambient distance ``delta`` from ``curve(t0)``.
+def _distance_grid(ambient: Norm, curve: ClosedCurve, t0: float, grid: int):
+    """``curve(t0)``, ``grid`` parameters over one period from ``t0``, and the
+    ambient distances of their curve points from ``curve(t0)``.
 
-    Bracketed sign changes of ``||x - curve(t)|| - delta`` are counted on a
-    dense grid; anything other than exactly two is an error.  Both brackets
-    are then searched together down to adjacent floats, so that straight
-    pieces yield exactly additive chords.
+    Every radius ``delta`` of one curvature estimate is bracketed on these.
     """
     x = curve.point(t0)
     ts = t0 + np.linspace(0.0, curve.period, grid, endpoint=False)
-    vals = ambient(curve.points(ts) - x) - delta
+    return x, ts, ambient(curve.points(ts) - x)
+
+
+def _two_points_at_distance(ambient: Norm, curve: ClosedCurve, dist_grid, delta: float):
+    """The two curve points at ambient distance ``delta`` from ``curve(t0)``.
+
+    ``dist_grid`` is ``_distance_grid(ambient, curve, t0, grid)``.  Bracketed
+    sign changes of ``||x - curve(t)|| - delta`` are counted on its grid;
+    anything other than exactly two is an error.  Both brackets are then
+    searched together down to adjacent floats, so that straight pieces yield
+    exactly additive chords.
+    """
+    x, ts, dist = dist_grid
+    vals = dist - delta
     sign_lo = vals < 0.0
     crossings = np.flatnonzero(sign_lo != np.roll(sign_lo, -1))
     if len(crossings) != 2:
@@ -148,8 +158,9 @@ def normed_curvature(ambient: Norm, curve: ClosedCurve, t0: float,
     if any(b >= a for a, b in zip(ds, ds[1:])) or not ds:
         raise ValueError("the delta schedule must be strictly decreasing")
     ratios = []
+    dist_grid = _distance_grid(ambient, curve, t0, grid)
     for delta in ds:
-        x, a, b = _two_points_at_distance(ambient, curve, t0, delta, grid)
+        x, a, b = _two_points_at_distance(ambient, curve, dist_grid, delta)
         d = float(ambient(x - a))
         r = (2.0 * d - float(ambient(a - b))) / d ** 3
         ratios.append((delta, r))
@@ -184,8 +195,9 @@ def corner_ratio(norm: Norm, theta: float, deltas=DEFAULT_DELTAS,
     curve = sphere_curve(norm)
     qs = []
     ds = [float(d) for d in deltas]
+    dist_grid = _distance_grid(norm, curve, float(theta), grid)
     for delta in ds:
-        x, a, b = _two_points_at_distance(norm, curve, float(theta), delta, grid)
+        x, a, b = _two_points_at_distance(norm, curve, dist_grid, delta)
         d = float(norm(x - a))
         qs.append(float(norm(a - b)) / d)
     intercept, _, _, _ = fit_quadratic(np.asarray(ds), np.asarray(qs))

@@ -5,15 +5,21 @@ and recording the full pairwise chord matrix.  An isometry between two
 spheres preserves own-norm arc length, so it moves the samples of one sphere
 to points of the other at a common arc offset, possibly reflected, and
 leaves the chord matrix invariant.  One scan finds these offsets, between
-two spheres and, with both the same, in the self-isometry group: a lag table
-of distances between points of a grid finer than the samples of the second
-sphere gives the mismatch against row 0 of the first sphere's chord matrix
-at every grid offset at once, for rotations and reflections alike, and the
-grid's local minima are refined together by one batched golden-section
-search before each survivor's full chord matrix is checked.  Offsets need
-not be whole sample steps, so symmetries whose order does not divide the
-sample count are found, and so are isometries that do not carry the first
-sphere's samples onto the second's.
+two spheres and, with both the same, in the self-isometry group.  A lag
+table of distances between points of a grid finer than the samples of the
+second sphere gives the mismatch against row 0 of the first sphere's chord
+matrix at every grid offset at once, for rotations and reflections alike;
+every gauge is even, so the lags up to half a turn give the whole table.
+Offsets move the points at unit speed and an arc is never shorter than its
+chord, so the mismatch is 2-Lipschitz in the offset: only grid minima that
+could fall to the tolerance within a grid step are refined.  Near an
+isometry every chord's mismatch is linear in the offset, so the row
+mismatch is a V; the minima are refined together by one batched search that
+steps to the apex of the V through its best points (``golden_max``), and
+each survivor's full chord matrix is checked.  Offsets need not be whole
+sample steps, so symmetries whose order does not divide the sample count are
+found, and so are isometries that do not carry the first sphere's samples
+onto the second's.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import DEFAULT_TOLS
 from .charts import SphereMapSample
@@ -44,27 +51,23 @@ _SPHERE_POINT_TOL = 1e-9
 # An alignment pairs the samples of two spheres, each placed as above; the
 # map sample certifies both sides with an order of magnitude more room.
 _MAP_SAMPLE_TOL = 1e-8
-# Candidate screen of the offset scan.  Offsets move sample points at unit
-# speed in the norm, so the row mismatch grows at most twice as fast as the
-# distance to a true symmetry, and the grid offset nearest one shows at most
-# one grid step: grid minima up to ten steps are refined.
-_SCREEN_GRID_STEPS = 10.0
-# Minima up to twenty times the best grid mismatch are refined as well, so a
-# sphere with no symmetry of one orientation still yields candidates for the
-# full check to reject; the floor keeps that allowance positive when the best
-# mismatch is an exact zero.
-_SCREEN_OVER_MIN = 20.0
-_SCREEN_FLOOR = 1e-15
-# No minimum above a tenth of the diameter 2 is refined: a grid step is at
-# most 8/1024, far below it, so no symmetry is lost.
-_SCREEN_CAP = 0.2
+# Candidate screen of the offset scan.  Offsets move the sample points at
+# unit speed along the sphere, and an arc is never shorter than its chord, so
+# the row mismatch is 2-Lipschitz in the offset: a grid minimum above
+# ``2 * step + tol`` stays above ``tol`` across its bracket ``centre +- step``
+# and is not refined.  The slack covers the arc-length map: it places points
+# within ~1e-7 of their arc (the l_1.5 circumference comes out ~7e-8 short),
+# which moves the mismatch by at most four times that between two offsets.
+_ARC_SLACK = 1e-6
 # Refined offsets nearer than this fraction of the circumference are one
-# element: brackets from adjacent grid minima converge to the same zero to
-# ~1e-12, and distinct elements lie a circumference over the order apart.
+# element: brackets from adjacent grid minima converge to the same zero
+# within the refinement's stopping width, ~1e-13, and distinct elements lie
+# a circumference over the order apart.
 _MERGE_RADIUS = 1e-7
 # A refined offset within this many sample steps of a whole step is that
 # sample shift: the offsets of sample-aligned isometries refine to within
-# ~1e-12 steps of it (diamond onto square, 64 to 1000 samples).  Distinct
+# 8e-13 steps of it (diamond onto square, 64 to 1000 samples), and the
+# nearest fractional shift there is a quarter step off a whole one.  Distinct
 # elements, _MERGE_RADIUS of the circumference apart, never snap to one shift.
 _SHIFT_SNAP = 1e-6
 
@@ -220,35 +223,46 @@ def _lag_profiles(fp_x: ChordFingerprint, fp_y: ChordFingerprint):
 
     The grid has ``m = r * n`` offsets along ``fp_y``'s sphere, ``r`` the
     smallest integer with ``m >= max(4n, 1024)``, so an offset plus a sample
-    step is again a grid offset.  The grid points ``q`` are placed once; the
-    lag table ``|q[i + r k] - q[i]|`` against row 0 of ``fp_x``'s chord
-    matrix gives the rotation profile, and the same table read at rows
-    ``i - r k`` gives the reflection profile, the norm being symmetric.  The
-    table is built ``n / 2`` rows per norm call, so its blocks stay below
-    the memory one chord matrix takes.
+    step is again a grid offset.  The grid points ``q`` are placed once, and
+    the lag table ``T[k, i] = |q[i + r k] - q[i]|`` is built for the lags
+    ``k <= n / 2`` only: every gauge is even, so ``T[n - k, i] = T[k, i - r k]``
+    bit for bit.  Offset ``i``'s column of the full table, read against
+    row 0 of ``fp_x``'s chord matrix, is its rotation mismatch; read against
+    that row reversed, ``k -> -k``, it is its reflection mismatch.  The table
+    is built and reduced about ``n^2 / 2`` entries at a time, lag-major, so
+    every reduction runs over contiguous rows.
 
     Returns ``(grid, rotation_profile, reflection_profile)``.
     """
     norm, n = fp_y.norm, fp_y.n
     r = max(4, -(-1024 // n))
     m = r * n
+    half = n // 2
     grid = np.linspace(0.0, fp_y.circumference, m, endpoint=False)
-    q = arc_length_map(norm).point_at(grid)
-    lags = r * np.arange(n)
-    cols = np.arange(n)
-    block = n // 2
-    dev = np.empty((m, n))
-    for lo in range(0, m, block):
-        rows = np.arange(lo, lo + block)[:, None]
-        diff = q[(rows + lags) % m] - q[rows]
-        dev[lo:lo + block] = norm(diff.reshape(-1, 2)).reshape(block, n)
-    dev -= fp_x.chords[0]
-    np.abs(dev, out=dev)
-    flipped = np.empty(m)
-    for lo in range(0, m, block):
-        rows = np.arange(lo, lo + block)[:, None]
-        flipped[lo:lo + block] = dev[(rows - lags) % m, cols].max(axis=1)
-    return grid, dev.max(axis=1), flipped
+    q = arc_length_map(norm).coords_at(grid)
+    # ahead[:, k, i] is q[:, i + r k], for the lags k <= n / 2
+    ahead = sliding_window_view(np.concatenate([q, q[:, :r * half]], axis=1), m,
+                                axis=1)[:, ::r]
+    row = fp_x.chords[0]
+    reversed_row = row[-np.arange(n) % n]
+    rot, flipped = np.zeros(m), np.zeros(m)
+    per_call = max(1, n * n // (2 * m))
+    for lo in range(0, half + 1, per_call):
+        ks = np.arange(lo, min(lo + per_call, half + 1))
+        diff = ahead[:, ks] - q[:, None, :]
+        table = norm(diff.reshape(2, -1).T).reshape(ks.size, m)
+        dev_rot = np.abs(table - row[ks, None])
+        dev_ref = np.abs(table - reversed_row[ks, None])
+        np.maximum(rot, dev_rot.max(axis=0), out=rot)
+        np.maximum(flipped, dev_ref.max(axis=0), out=flipped)
+        # lag n - k of offset i + r k is lag k of offset i, read the other way
+        for k, to_rot, to_flipped in zip(ks, dev_ref, dev_rot):
+            if 0 < k < half:
+                s = r * k
+                for out, dev in ((rot, to_rot), (flipped, to_flipped)):
+                    np.maximum(out[s:], dev[:m - s], out=out[s:])
+                    np.maximum(out[:s], dev[m - s:], out=out[:s])
+    return grid, rot, flipped
 
 
 def _profile_zeros(fp_x: ChordFingerprint, fp_y: ChordFingerprint,
@@ -263,20 +277,15 @@ def _profile_zeros(fp_x: ChordFingerprint, fp_y: ChordFingerprint,
         targets = -targets
     ref_row = fp_x.chords[0]
 
-    def place(offsets: np.ndarray) -> np.ndarray:
-        return amap.point_at((offsets[:, None] + targets).ravel()).reshape(-1, n, 2)
-
     def neg_row_mismatch(offsets: np.ndarray) -> np.ndarray:
-        pts = place(offsets)
-        rows = norm((pts - pts[:, :1]).reshape(-1, 2)).reshape(-1, n)
+        # coordinate-major points: the norm reads contiguous columns
+        xy = amap.coords_at((offsets[:, None] + targets).ravel()).reshape(2, -1, n)
+        rows = norm((xy - xy[:, :, :1]).reshape(2, -1).T).reshape(-1, n)
         return -np.abs(rows - ref_row).max(axis=1)
 
     step = circ / grid.size
-    screen = max(_SCREEN_GRID_STEPS * step,
-                 _SCREEN_OVER_MIN * float(profile.min() + _SCREEN_FLOOR))
-    screen = min(screen, _SCREEN_CAP)
     local_min = (profile <= np.roll(profile, 1)) & (profile <= np.roll(profile, -1))
-    centres = grid[local_min & (profile <= screen)]
+    centres = grid[local_min & (profile <= 2.0 * step + tol + _ARC_SLACK)]
     if centres.size == 0:
         return []
     # the mismatch is V-shaped around each zero
@@ -287,7 +296,8 @@ def _profile_zeros(fp_x: ChordFingerprint, fp_y: ChordFingerprint,
     # row 0 is part of the full check below
     offsets = offsets[-values <= tol]
     found: list[tuple[float, float]] = []
-    for offset, pts in zip(offsets, place(offsets)):
+    placed = amap.point_at((offsets[:, None] + targets).ravel()).reshape(-1, n, 2)
+    for offset, pts in zip(offsets, placed):
         defect = float(np.abs(_chord_matrix(norm, pts) - fp_x.chords).max())
         if defect <= tol:
             w = float(offset) % circ
@@ -317,10 +327,11 @@ def _offset_scan(fp_x: ChordFingerprint, fp_y: ChordFingerprint,
     lag table (``_lag_profiles``), with no norm call per offset.  Returns
     ``None`` when the rotation or the reflection profile is within ``tol`` at
     every grid offset (the symmetry is continuous).  Otherwise the grid's
-    local minima under a screen are refined together by one batched
-    golden-section search per orientation; a refined offset whose row
-    mismatch exceeds ``tol`` is dropped, and every other one is kept when its
-    full chord matrix matches within ``tol``.  Returns ``(reflected, offset,
+    local minima that the 2-Lipschitz mismatch lets fall to ``tol`` within a
+    grid step are refined together by one batched ``golden_max`` per
+    orientation; a refined offset whose row mismatch exceeds ``tol`` is
+    dropped, and every other one is kept when its full chord matrix matches
+    within ``tol``.  Returns ``(reflected, offset,
     defect)`` triples, rotations then reflections, each sorted by offset,
     ``defect`` being the full-matrix mismatch.
     """

@@ -149,17 +149,40 @@ def bisect_first_true(pred: Callable[[float], bool], lo: float, hi: float,
     return _scalar_search(pred, lo, hi, xtol, max_iter)[1]
 
 
+# Golden steps before the first V step.  With three, an exact V closes in six
+# steps at the least (three golden ones, the apex, two nudges), so a cap of
+# five steps leaves every bracket open; a single one would save ~12 % of the
+# calls of the isometry offset refinements.
+_GOLDEN_FIRST = 3
+# A V step needs a bracket at most this many golden steps behind the width
+# golden steps alone would have left; a bracket further behind takes golden
+# steps, so a lopsided V is not much slower than a golden search.
+_GOLDEN_LAG = 2
+
+
 def golden_max(f: Callable[[np.ndarray], np.ndarray], a, b,
                *, max_iter: int = 90) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Golden-section maximisation of locally unimodal functions, bracket-wise.
+    """Maximisation of locally unimodal functions, bracket-wise.
 
     ``a`` and ``b`` are 1D arrays of bracket ends.  ``f`` maps an array of
-    abscissae to the array of values; each step calls it once, on the live
-    brackets only.  A bracket stops when its width falls below
-    ``1e-14 * (1 + |a| + |b|)``, so every bracket gives bit for bit the
-    result it gives alone.  Returns ``(x, f(x), converged)``, where
+    abscissae to the array of values; it is called on the two golden points
+    of every bracket, then once per step on the live brackets only.
+
+    Steps follow Brent's scheme with a V in place of the parabola, for
+    maxima where ``f`` has a kink, as ``-|x|`` has.  Each bracket keeps its
+    best point ``x``; its ends are the nearest points evaluated on either
+    side.  After three golden steps, a step goes to the apex of the
+    symmetric V through the ends and ``x`` when the apex lies inside the
+    bracket and the bracket is at most two golden steps behind the width
+    golden steps alone would have left.  An apex within a third of the
+    stopping width of ``x`` or of an end is replaced by a nudge of that
+    length from ``x`` toward the wider side; any other step is a golden
+    section of the wider side.  A bracket stops when its width falls below
+    ``1e-14 * (1 + |a| + |b|)``, so two nudges close it around an exact
+    apex.  All arithmetic is per bracket: every bracket gives bit for bit
+    the result it gives alone.  Returns ``(x, f(x), converged)``, where
     ``converged`` is False for the brackets still open after ``max_iter``
-    steps.
+    steps; a NaN bracket stays open.
     """
     a = np.array(a, dtype=float, ndmin=1)
     b = np.array(b, dtype=float, ndmin=1)
@@ -167,25 +190,44 @@ def golden_max(f: Callable[[np.ndarray], np.ndarray], a, b,
     x2 = a + _INVPHI * (b - a)
     f1 = np.asarray(f(x1), dtype=float)
     f2 = np.asarray(f(x2), dtype=float)
+    width = b - a
+    right = f1 < f2  # the golden section's first cut; an end not evaluated reads NaN
+    a, fa = np.where(right, x1, a), np.where(right, f1, np.nan)
+    b, fb = np.where(right, b, x2), np.where(right, np.nan, f2)
+    x, fx = np.where(right, x2, x1), np.where(right, f2, f1)
+
+    def stop_width():
+        return 1e-14 * (1.0 + np.abs(a) + np.abs(b))
 
     def open_brackets():  # a NaN bracket stays open
-        return ~(np.abs(b - a) < 1e-14 * (1.0 + np.abs(a) + np.abs(b)))
+        return ~(np.abs(b - a) < stop_width())
 
-    for _ in range(max_iter):
+    for it in range(max_iter):
         live = np.flatnonzero(open_brackets())
         if live.size == 0:
             break
-        right = f1[live] < f2[live]
-        up, down = live[right], live[~right]
-        a[up], x1[up], f1[up] = x1[up], x2[up], f2[up]
-        x2[up] = a[up] + _INVPHI * (b[up] - a[up])
-        b[down], x2[down], f2[down] = x2[down], x1[down], f1[down]
-        x1[down] = b[down] - _INVPHI * (b[down] - a[down])
-        fresh = f(np.where(right, x2[live], x1[live]))
-        f2[up] = fresh[right]
-        f1[down] = fresh[~right]
-    first = f1 >= f2
-    return np.where(first, x1, x2), np.where(first, f1, f2), ~open_brackets()
+        al, bl, xl, fal, fbl, fxl = a[live], b[live], x[live], fa[live], fb[live], fx[live]
+        nudge = stop_width()[live] / 3.0
+        toward = np.where(xl < 0.5 * (al + bl), 1.0, -1.0)  # the wider side
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # the steeper secant lies on one arm; the other arm mirrors it
+            slope = np.maximum((fxl - fal) / (xl - al), (fxl - fbl) / (bl - xl))
+            apex = 0.5 * (al + bl) + (fbl - fal) / (2.0 * slope)
+            on_time = bl - al <= width[live] * _INVPHI ** (it + 1 - _GOLDEN_LAG)
+            v_step = (it >= _GOLDEN_FIRST) & on_time & (al < apex) & (apex < bl)
+        golden = xl + (1.0 - _INVPHI) * (np.where(toward > 0.0, bl, al) - xl)
+        u = np.where(v_step, apex, golden)
+        close = (np.abs(u - xl) < nudge) | (v_step & ((u - al < nudge) | (bl - u < nudge)))
+        u = np.where(close, xl + toward * nudge, u)
+        fu = np.asarray(f(u), dtype=float)
+        # the worse of x and u becomes the end on its side
+        better = fu >= fxl
+        low = np.where(better, u >= xl, u < xl)
+        end, fend = np.where(better, xl, u), np.where(better, fxl, fu)
+        a[live], fa[live] = np.where(low, end, al), np.where(low, fend, fal)
+        b[live], fb[live] = np.where(low, bl, end), np.where(low, fbl, fend)
+        x[live], fx[live] = np.where(better, u, xl), np.where(better, fu, fxl)
+    return x, fx, ~open_brackets()
 
 
 def fit_quadratic(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:

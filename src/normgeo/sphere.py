@@ -415,6 +415,11 @@ class _ArcLengthMap:
         self._frac = frac[:4]
 
     def point_at(self, arc) -> np.ndarray:
+        """Sphere points at the given arc lengths, one per row."""
+        return self.coords_at(arc).T
+
+    def coords_at(self, arc) -> np.ndarray:
+        """``point_at`` coordinate-major: a ``(2, N)`` array of x and y rows."""
         t = np.mod(np.asarray(arc, dtype=float), self.circumference)
         # t == circumference after rounding lands at the end of the last segment
         idx = np.minimum(np.searchsorted(self._cum, t, side="right") - 1,
@@ -425,7 +430,7 @@ class _ArcLengthMap:
         p = coef[4]
         for k in (3, 2, 1, 0):
             p = coef[k] + shifted[k] * p
-        return (p / self.norm(p.T)).T
+        return p / self.norm(p.T)
 
 
 @lru_cache(maxsize=32)

@@ -7,8 +7,10 @@ from normgeo import (PNorm, align, alignment_map_sample, antipodality_defect,
                      fingerprint, isometric_lift, isometry_group,
                      lift_affine_defect, lift_distance_defect,
                      lift_target_norm, linearity_defect, make_chart)
+from normgeo import isometry
 from normgeo.charts import LinearImageNorm
 from normgeo.norms import HEX_VERTICES, PolygonNorm
+from normgeo.numerics import golden_max
 from normgeo.sphere import arc_length_map
 
 
@@ -292,6 +294,73 @@ def test_linear_images_keep_the_corners(seed, lens):
     assert arc_length_map(l1_image).circumference == pytest.approx(8.0, abs=1e-9)
     lens_length = arc_length_map(lens).circumference
     assert arc_length_map(lens_image).circumference == pytest.approx(lens_length, abs=1e-7)
+
+
+# -- offset scan -------------------------------------------------------------
+
+def full_table_profiles(fp_x, fp_y):
+    """The offset scan's profiles from the full lag table, every lag computed.
+
+    Rotation: row ``i`` of ``|q[i + r k] - q[i]| - row_0``; reflection: the
+    same table read at rows ``i - r k``.
+    """
+    norm, n = fp_y.norm, fp_y.n
+    r = max(4, -(-1024 // n))
+    m = r * n
+    grid = np.linspace(0.0, fp_y.circumference, m, endpoint=False)
+    q = arc_length_map(norm).point_at(grid)
+    rows, lags = np.arange(m)[:, None], r * np.arange(n)
+    table = norm((q[(rows + lags) % m] - q[rows]).reshape(-1, 2)).reshape(m, n)
+    dev = np.abs(table - fp_x.chords[0])
+    return grid, dev.max(axis=1), dev[(rows - lags) % m, np.arange(n)].max(axis=1)
+
+
+def _seeded_images(seed, hexn, p3):
+    rng = np.random.default_rng(seed)
+    a, b = _unimodular(rng), _unimodular(rng)
+    return (PolygonNorm(tuple(map(tuple, np.asarray(HEX_VERTICES) @ a.T))),
+            LinearImageNorm(p3, tuple(map(tuple, b))))
+
+
+@pytest.mark.parametrize("n", [130, 256])
+def test_half_lag_table_profiles_equal_the_full_table(n, shipped_2d, hexn, p3):
+    norms = shipped_2d + [PNorm(1.5, 2)]
+    for seed in (11, 12, 13):
+        norms += _seeded_images(seed, hexn, p3)
+    for norm in norms:
+        fp = fingerprint(norm, n)
+        want = full_table_profiles(fp, fp)
+        got = isometry._lag_profiles(fp, fp)
+        for w, g in zip(want, got):
+            assert np.array_equal(w, g), norm
+
+
+@pytest.mark.parametrize("n", [130, 256])
+def test_rotations_sit_at_equal_arcs(n, p3, square, diamond, hexn, lens):
+    # independent of the search: a linear symmetry of order R turns the
+    # sphere by a whole R-th of its own-norm length
+    for norm, rotations in ((p3, 4), (PNorm(1.5, 2), 4), (square, 4), (diamond, 4),
+                            (hexn, 6), (lens, 2)):
+        group = isometry_group(norm, n)
+        offsets = np.array([e.offset for e in group.elements if e.kind == "rotation"])
+        step = arc_length_map(norm).circumference / rotations
+        assert offsets.size == rotations, norm
+        assert np.abs(offsets - step * np.arange(rotations)).max() <= 1e-12, norm
+
+
+def test_screen_refines_only_offsets_that_can_match(monkeypatch, hexn, p3):
+    # grid minima above 2 * step + tol cannot reach tol within their bracket
+    brackets = []
+
+    def counted(f, a, b, **kwargs):
+        brackets.append(len(a))
+        return golden_max(f, a, b, **kwargs)
+
+    monkeypatch.setattr(isometry, "golden_max", counted)
+    hex_image, _ = _seeded_images(11, hexn, p3)
+    group = isometry_group(hex_image, 256)
+    assert group.order == 12 and group.pattern == "dihedral-6"
+    assert sum(brackets) == 12
 
 
 # -- plane-into-revolution lift ----------------------------------------------

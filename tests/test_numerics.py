@@ -53,6 +53,52 @@ def test_golden_max_reports_the_iteration_cap():
     assert not converged.any()
 
 
+def counted_golden_max(f, a, b):
+    """``golden_max`` on one bracket, with the number of calls to ``f``."""
+    calls = []
+
+    def counted(x):
+        calls.append(x.size)
+        return f(x)
+
+    x, fx, converged = golden_max(counted, [a], [b])
+    return float(x[0]), float(fx[0]), bool(converged[0]), len(calls)
+
+
+def test_golden_max_steps_to_the_apex_of_a_v():
+    for a, b in BRACKETS:
+        x, _, converged, calls = counted_golden_max(v_shape, a, b)
+        assert converged and calls <= 15
+        assert abs(x - np.pi * round(x / np.pi)) < 1e-12
+
+
+@pytest.mark.parametrize("left, right", [(1.0, 3.0), (10.0, 1.0), (1.0, 100.0)])
+def test_golden_max_closes_lopsided_vs(left, right):
+    # slopes that differ on the two sides, as at a polygon vertex: the
+    # symmetric V misplaces the apex, and golden steps take over
+    for top in (0.1, -0.2, 0.37):
+        def f(x):
+            d = x - top
+            return np.where(d < 0.0, left * d, -right * d)
+
+        x, _, converged, calls = counted_golden_max(f, -0.3, 0.5)
+        assert converged and calls <= 80
+        assert abs(x - top) < 1e-12
+
+
+def test_golden_max_closes_a_smooth_maximum():
+    x, fx, converged, calls = counted_golden_max(np.cos, -0.3, 0.5)
+    assert converged and calls - 2 <= 90
+    assert abs(x) < 1e-7 and fx == 1.0
+
+
+def test_golden_max_leaves_a_nan_bracket_open():
+    x, fx, converged = golden_max(v_shape, [np.nan, -0.3], [1.0, 0.5])
+    assert not converged[0] and converged[1]
+    alone = golden_max(v_shape, [-0.3], [0.5])
+    assert x[1] == alone[0][0] and fx[1] == alone[1][0]
+
+
 def test_capped_refinements_raise(monkeypatch, hexn):
     capped = functools.partial(golden_max, max_iter=5)
     monkeypatch.setattr(isometry, "golden_max", capped)
