@@ -15,25 +15,27 @@ chord, so the mismatch is 2-Lipschitz in the offset: only grid minima that
 could fall to the tolerance within a grid step are refined.  Near an
 isometry every chord's mismatch is linear in the offset, so the row
 mismatch is a V; the minima are refined together by one batched search that
-steps to the apex of the V through its best points (``golden_max``), and
-each survivor's full chord matrix is checked.  Offsets need not be whole
-sample steps, so symmetries whose order does not divide the sample count are
-found, and so are isometries that do not carry the first sphere's samples
-onto the second's.
+steps to the apex of the V through its best points (``golden_max``).  One
+certificate then checks each survivor's full chord matrix: an offset of
+``f + s`` sample steps puts sample ``i`` at ``f + (s +- i)``, so offsets with
+one fraction ``f`` share the chord matrix of the points ``f + k``, rows and
+columns permuted, and whole shifts read the second fingerprint's own.
+Offsets need not be whole sample steps, so symmetries whose order does not
+divide the sample count are found, and so are isometries that do not carry
+the first sphere's samples onto the second's.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import DEFAULT_TOLS
 from .charts import SphereMapSample
-from .norms import (Norm, RevolutionNorm, SpherePoint, hexagonal_norm,
-                    sphere_point)
+from .norms import Norm, RevolutionNorm, hexagonal_norm
 from .numerics import golden_max, require_converged
 from .sphere import arc_length_map
 
@@ -44,12 +46,8 @@ __all__ = [
     "lift_affine_defect",
 ]
 
-# Fingerprint points are radial projections of arc-length placements, on
-# their sphere up to rounding; certification leaves room for that rounding
-# as the arc-length spacing checks do.
-_SPHERE_POINT_TOL = 1e-9
-# An alignment pairs the samples of two spheres, each placed as above; the
-# map sample certifies both sides with an order of magnitude more room.
+# An alignment pairs arc-length placements on two spheres, each on its sphere
+# up to rounding; the map sample certifies both sides with room for that.
 _MAP_SAMPLE_TOL = 1e-8
 # Candidate screen of the offset scan.  Offsets move the sample points at
 # unit speed along the sphere, and an arc is never shorter than its chord, so
@@ -65,7 +63,8 @@ _ARC_SLACK = 1e-6
 # a circumference over the order apart.
 _MERGE_RADIUS = 1e-7
 # A refined offset within this many sample steps of a whole step is that
-# sample shift: the offsets of sample-aligned isometries refine to within
+# sample shift, and offsets whose fractions of a step are this close share
+# one chord matrix: the offsets of sample-aligned isometries refine to within
 # 8e-13 steps of it (diamond onto square, 64 to 1000 samples), and the
 # nearest fractional shift there is a quarter step off a whole one.  Distinct
 # elements, _MERGE_RADIUS of the circumference apart, never snap to one shift.
@@ -82,14 +81,9 @@ class ChordFingerprint:
     chords: np.ndarray
     circumference: float
 
-    def sphere_points(self) -> list[SpherePoint]:
-        return [sphere_point(self.norm, p, tol=_SPHERE_POINT_TOL) for p in self.points]
-
 
 def _chord_matrix(norm: Norm, pts: np.ndarray) -> np.ndarray:
-    n = pts.shape[0]
-    diff = pts[:, None, :] - pts[None, :, :]
-    return norm(diff.reshape(-1, 2)).reshape(n, n)
+    return norm((pts[:, None, :] - pts[None, :, :]).reshape(-1, 2)).reshape(len(pts), -1)
 
 
 def fingerprint(norm: Norm, n: int) -> ChordFingerprint:
@@ -103,8 +97,7 @@ def fingerprint(norm: Norm, n: int) -> ChordFingerprint:
     if n < 4 or n % 2 != 0:
         raise ValueError("sample count must be an even integer >= 4")
     amap = arc_length_map(norm)
-    targets = np.arange(n) * (amap.circumference / n)
-    pts = amap.point_at(targets)
+    pts = amap.point_at(np.arange(n) * (amap.circumference / n))
     return ChordFingerprint(norm, n, pts, _chord_matrix(norm, pts),
                             amap.circumference)
 
@@ -137,32 +130,23 @@ def align(fp_x: ChordFingerprint, fp_y: ChordFingerprint,
     """Every isometry between the two sampled spheres, both orientations.
 
     The arc offsets come from the scan that ``isometry_group`` runs, with
-    ``fp_y``'s sphere in place of ``fp_x``'s.  An offset within a millionth
-    of a sample step of a whole step is reported as that integer shift, its
-    defect measured again on the two chord matrices.  When every offset of
-    an orientation matches (a round sphere and its linear images), every
-    sample shift of both orientations is checked on the chord matrices
-    instead.  ``defect`` is the largest entrywise chord mismatch, at most
-    ``tol``; spheres whose circumferences differ by more than ``tol`` times
-    the circumference have no alignment.
+    ``fp_y``'s sphere in place of ``fp_x``'s, or are every sample shift of
+    both orientations when every offset matches (a round sphere and its
+    linear images); ``_certified`` keeps those whose chord matrix matches,
+    a shift within a millionth of a step of a whole one as an integer.
+    ``defect`` is the largest entrywise chord mismatch, at most ``tol``;
+    spheres whose circumferences differ by more than ``tol`` times the
+    circumference have no alignment.
     """
     if fp_x.n != fp_y.n:
         raise ValueError(f"sample counts differ: {fp_x.n} vs {fp_y.n}")
     n = fp_x.n
-    step = fp_y.circumference / n
     found = _offset_scan(fp_x, fp_y, tol)
     if found is None:
-        found = [(refl, s * step, 0.0) for refl in (False, True) for s in range(n)]
-    out: list[Alignment] = []
-    for reflected, offset, defect in found:
-        shift = offset / step
-        if abs(shift - round(shift)) <= _SHIFT_SNAP:
-            shift = round(shift) % n
-            perm = Alignment(shift, reflected, 0.0).permutation(n)
-            defect = float(np.abs(fp_y.chords[np.ix_(perm, perm)] - fp_x.chords).max())
-            if defect > tol:
-                continue
-        out.append(Alignment(shift, reflected, defect))
+        step = fp_y.circumference / n
+        found = [(refl, s * step) for refl in (False, True) for s in range(n)]
+    out = [Alignment(shift, reflected, defect)
+           for reflected, _, shift, defect in _certified(fp_x, fp_y, found, tol)]
     out.sort(key=lambda a: (a.reflected, a.shift))
     return out
 
@@ -211,10 +195,7 @@ class IsometryGroupSummary:
             "order": self.order,
             "continuous": self.continuous,
             "pattern": self.pattern,
-            "elements": [
-                {"kind": e.kind, "offset": e.offset, "shift": e.shift,
-                 "defect": e.defect}
-                for e in self.elements],
+            "elements": [asdict(e) for e in self.elements],
         }
 
 
@@ -267,8 +248,9 @@ def _lag_profiles(fp_x: ChordFingerprint, fp_y: ChordFingerprint):
 
 def _profile_zeros(fp_x: ChordFingerprint, fp_y: ChordFingerprint,
                    grid: np.ndarray, profile: np.ndarray, reflected: bool,
-                   tol: float) -> list[tuple[float, float]]:
-    """Refined zeros of one profile whose full chord matrix matches."""
+                   tol: float) -> list[float]:
+    """Sorted refined zeros of one profile whose row 0 matches, in
+    ``[0, circumference)``, those within ``_MERGE_RADIUS`` merged."""
     norm, n = fp_y.norm, fp_y.n
     amap = arc_length_map(norm)
     circ = fp_y.circumference
@@ -293,56 +275,71 @@ def _profile_zeros(fp_x: ChordFingerprint, fp_y: ChordFingerprint,
                                             centres - step, centres + step)
     require_converged(converged, centres - step, centres + step,
                       f"offset refinement on the {norm.kind} sphere")
-    # row 0 is part of the full check below
-    offsets = offsets[-values <= tol]
-    found: list[tuple[float, float]] = []
-    placed = amap.point_at((offsets[:, None] + targets).ravel()).reshape(-1, n, 2)
-    for offset, pts in zip(offsets, placed):
-        defect = float(np.abs(_chord_matrix(norm, pts) - fp_x.chords).max())
-        if defect <= tol:
-            w = float(offset) % circ
-            if w > circ - _MERGE_RADIUS * circ:  # refined to just under a full turn
-                w = 0.0
-            found.append((w, defect))
-    found.sort()
-    merged: list[tuple[float, float]] = []
-    for w, defect in found:
-        if merged and min(abs(w - merged[-1][0]),
-                          circ - abs(w - merged[-1][0])) < _MERGE_RADIUS * circ:
-            continue
-        merged.append((w, defect))
-    if (len(merged) > 1
-            and (circ - merged[-1][0]) + merged[0][0] < _MERGE_RADIUS * circ):
-        merged.pop()
+    wrapped = (float(offset) % circ for offset in offsets[-values <= tol])
+    merged: list[float] = []
+    # an offset refined to just under a full turn is offset 0
+    for w in sorted(0.0 if w > circ - _MERGE_RADIUS * circ else w for w in wrapped):
+        if not merged or w - merged[-1] >= _MERGE_RADIUS * circ:
+            merged.append(w)
     return merged
 
 
 def _offset_scan(fp_x: ChordFingerprint, fp_y: ChordFingerprint,
-                 tol: float) -> list[tuple[bool, float, float]] | None:
-    """Arc offsets of ``fp_y``'s sphere at which it matches ``fp_x``.
+                 tol: float) -> list[tuple[bool, float]] | None:
+    """Arc offsets of ``fp_y``'s sphere at which row 0 of ``fp_x`` matches.
 
     An isometry preserves own-norm length, so circumferences that differ by
     more than ``tol`` times the circumference give no offset at all.  The
     mismatch of every offset on a grid finer than the samples comes from one
     lag table (``_lag_profiles``), with no norm call per offset.  Returns
     ``None`` when the rotation or the reflection profile is within ``tol`` at
-    every grid offset (the symmetry is continuous).  Otherwise the grid's
-    local minima that the 2-Lipschitz mismatch lets fall to ``tol`` within a
-    grid step are refined together by one batched ``golden_max`` per
-    orientation; a refined offset whose row mismatch exceeds ``tol`` is
-    dropped, and every other one is kept when its full chord matrix matches
-    within ``tol``.  Returns ``(reflected, offset,
-    defect)`` triples, rotations then reflections, each sorted by offset,
-    ``defect`` being the full-matrix mismatch.
+    every grid offset (the symmetry is continuous), else the refined offsets
+    whose row mismatch is within ``tol`` (``_profile_zeros``) as
+    ``(reflected, offset)`` pairs, rotations then reflections, each sorted.
     """
     if abs(fp_x.circumference - fp_y.circumference) > tol * fp_x.circumference:
         return []
     grid, rot, refl = _lag_profiles(fp_x, fp_y)
     if np.all(rot <= tol) or np.all(refl <= tol):
         return None
-    return [(reflected, w, defect)
+    return [(reflected, w)
             for reflected, profile in ((False, rot), (True, refl))
-            for w, defect in _profile_zeros(fp_x, fp_y, grid, profile, reflected, tol)]
+            for w in _profile_zeros(fp_x, fp_y, grid, profile, reflected, tol)]
+
+
+def _certified(fp_x: ChordFingerprint, fp_y: ChordFingerprint, found: list[tuple[bool, float]],
+               tol: float) -> list[tuple[bool, float, int | float, float]]:
+    """The ``(reflected, offset)`` candidates whose chord matrix matches ``fp_x``'s.
+
+    Offset ``f + s`` sample steps of ``fp_y`` (``s`` whole) carries sample
+    ``i`` to the point ``f + (s +- i) mod n``: whole shifts read
+    ``fp_y.chords``, and fractions within ``_SHIFT_SNAP`` of one another read
+    one matrix, placed at the first one's.  Returns ``(reflected, offset,
+    shift, defect)`` in the order of ``found``, ``shift`` an ``int`` for a
+    whole shift, ``defect`` the largest entrywise mismatch, at most ``tol``.
+    """
+    n = fp_y.n
+    step = fp_y.circumference / n
+    idx = np.arange(n)
+    chords = {0.0: fp_y.chords}
+    out = []
+    for reflected, offset in found:
+        shift = offset / step
+        s = round(shift)
+        if abs(shift - s) <= _SHIFT_SNAP:
+            shift, frac = s % n, 0.0
+        else:
+            s = math.floor(shift)
+            frac = next((f for f in chords if abs(f - (shift - s)) <= _SHIFT_SNAP),
+                        shift - s)
+            if frac not in chords:
+                pts = arc_length_map(fp_y.norm).point_at((frac + idx) * step)
+                chords[frac] = _chord_matrix(fp_y.norm, pts)
+        perm = (s - idx if reflected else s + idx) % n
+        defect = float(np.abs(chords[frac][np.ix_(perm, perm)] - fp_x.chords).max())
+        if defect <= tol:
+            out.append((reflected, offset, shift, defect))
+    return out
 
 
 def isometry_group(norm: Norm, n: int = 512,
@@ -359,7 +356,7 @@ def isometry_group(norm: Norm, n: int = 512,
     found = _offset_scan(fp, fp, tol)
     continuous = found is None
     elements = tuple(SymmetryElement(("rotation", "reflection")[refl], off, off / step, defect)
-                     for refl, off, defect in found or ())
+                     for refl, off, _, defect in _certified(fp, fp, found or [], tol))
     n_rot = sum(1 for e in elements if e.kind == "rotation")
     n_refl = len(elements) - n_rot
     if continuous:

@@ -58,6 +58,18 @@ def _integer(value, field: str) -> int:
     return int(value)
 
 
+def _number(value, field: str, *, infinite: bool = False) -> float:
+    """``value`` as a float, else ``ValueError`` naming ``field`` (bools too).
+
+    With ``infinite``, the strings ``"inf"`` and ``"infinity"`` are accepted.
+    """
+    if infinite and isinstance(value, str) and value.lower() in ("inf", "infinity"):
+        return math.inf
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    return float(value)
+
+
 _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
 # s ** fl(1/p) is off by |ln r| * 2^-53 relative at a result r, the rounding
@@ -635,14 +647,6 @@ def validate_norm(norm: Norm, sample_count: int = 1000, *,
                                 symmetry, issues, passed)
 
 
-def _parse_p(raw) -> float:
-    if isinstance(raw, str):
-        if raw.lower() in ("inf", "infinity"):
-            return math.inf
-        return float(raw)
-    return float(raw)
-
-
 def norm_from_json(data: dict) -> Norm:
     """Rebuild a norm from its JSON description."""
     if not isinstance(data, dict) or "kind" not in data:
@@ -658,9 +662,9 @@ def norm_from_json(data: dict) -> Norm:
         return _integer(data.get("dim", 2), "dim")
 
     if kind == "pnorm":
-        return PNorm(_parse_p(field("p")), dim())
+        return PNorm(_number(field("p"), "p", infinite=True), dim())
     if kind == "euclidean":
-        return EuclideanNorm(float(data.get("scale", 1.0)), dim())
+        return EuclideanNorm(_number(data.get("scale", 1.0), "scale"), dim())
     if kind == "polygon":
         vertices = field("vertices")
         if not isinstance(vertices, (list, tuple)):
@@ -695,5 +699,9 @@ def builtin_norm(name: str) -> Norm:
     if key in table:
         return table[key]()
     if key.startswith("p") and len(key) > 1:
-        return PNorm(_parse_p(key[1:]), 2)
+        try:
+            p = float(key[1:])
+        except ValueError:
+            raise ValueError(f"unknown builtin norm {name!r}") from None
+        return PNorm(p, 2)
     raise ValueError(f"unknown builtin norm {name!r}")

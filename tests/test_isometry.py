@@ -363,6 +363,70 @@ def test_screen_refines_only_offsets_that_can_match(monkeypatch, hexn, p3):
     assert sum(brackets) == 12
 
 
+# -- chord-matrix certificate -------------------------------------------------
+
+def _counted_chord_matrices(monkeypatch):
+    calls = []
+    real = isometry._chord_matrix
+
+    def counted(norm, pts):
+        calls.append(len(pts))
+        return real(norm, pts)
+
+    monkeypatch.setattr(isometry, "_chord_matrix", counted)
+    return calls
+
+
+def test_offsets_a_whole_sample_apart_share_one_chord_matrix(monkeypatch, p3, square,
+                                                              lens, hexn):
+    calls = _counted_chord_matrices(monkeypatch)
+    subjects = [(p3, 1), (square, 1), (lens, 1), (hexn, 3)]
+    for seed in (11, 12, 13):
+        hex_image, p3_image = _seeded_images(seed, hexn, p3)
+        subjects += [(hex_image, 6), (p3_image, 2)]
+    for norm, matrices in subjects:
+        calls.clear()
+        group = isometry_group(norm, 256)
+        # the fingerprint's own matrix serves every whole shift
+        fractions = {round(e.shift % 1.0, 4) % 1.0 for e in group.elements}
+        assert len(calls) == len(fractions) == matrices, norm
+
+
+def test_whole_shift_alignments_build_no_chord_matrix(monkeypatch, diamond, square):
+    calls = _counted_chord_matrices(monkeypatch)
+    fx, fy = fingerprint(diamond, 256), fingerprint(square, 256)
+    calls.clear()
+    found = align(fx, fy)
+    assert len(found) == 8 and all(type(a.shift) is int for a in found)
+    assert calls == []
+
+
+def _placed_defect(fp_x, fp_y, offset, reflected):
+    """Chord mismatch of the images at ``offset +- k * step``, placed afresh."""
+    n = fp_y.n
+    steps = np.arange(n) * (fp_y.circumference / n)
+    pts = arc_length_map(fp_y.norm).point_at(offset + (-steps if reflected else steps))
+    chords = fp_y.norm((pts[:, None, :] - pts[None, :, :]).reshape(-1, 2)).reshape(n, n)
+    return float(np.abs(chords - fp_x.chords).max())
+
+
+@pytest.mark.parametrize("n", [130, 256])
+def test_certificate_matches_freshly_placed_images(n, hexn, p3):
+    hex_image, p3_image = _seeded_images(12, hexn, p3)
+    for norm in (hexn, hex_image, p3_image, p3):
+        fp = fingerprint(norm, n)
+        for e in isometry_group(norm, n).elements:
+            want = _placed_defect(fp, fp, e.offset, e.kind == "reflection")
+            assert abs(e.defect - want) <= 1e-12, (norm, e)
+    image = PolygonNorm(tuple(map(tuple, np.asarray(HEX_VERTICES) @ HEX_IMAGE_MATRIX.T)))
+    fx, fy = fingerprint(hexn, n), fingerprint(image, n)
+    found = align(fx, fy)
+    assert len(found) == 12
+    for a in found:
+        want = _placed_defect(fx, fy, a.shift * (fy.circumference / n), a.reflected)
+        assert abs(a.defect - want) <= 1e-12, a
+
+
 # -- plane-into-revolution lift ----------------------------------------------
 
 def test_lift_basics():

@@ -366,10 +366,20 @@ def test_norm_from_json_names_bad_fields():
             ({"kind": "polygon", "vertices": [[1, 0], [0, 1], [-1, 0], [0]]},
              r"vertices\[3\] must be"),
             ({"kind": "polygon", "vertices": [[1, 0], "ab"]}, r"vertices\[1\] must be"),
-            ({"kind": "polygon", "vertices": 3}, "vertices must be a list")):
+            ({"kind": "polygon", "vertices": 3}, "vertices must be a list"),
+            ({"kind": "pnorm", "p": True}, "p must be a number, got True"),
+            ({"kind": "pnorm", "p": "abc"}, "p must be a number, got 'abc'"),
+            ({"kind": "pnorm", "p": None}, "p must be a number, got None"),
+            ({"kind": "pnorm", "p": [3]}, r"p must be a number, got \[3\]"),
+            ({"kind": "euclidean", "scale": True}, "scale must be a number, got True"),
+            ({"kind": "euclidean", "scale": "2"}, "scale must be a number, got '2'"),
+            ({"kind": "euclidean", "scale": None}, "scale must be a number, got None")):
         with pytest.raises(ValueError, match=message):
             norm_from_json(data)
     assert norm_from_json({"kind": "pnorm", "p": 3, "dim": 3}) == PNorm(3.0, 3)
+    for raw in ("inf", "Infinity"):
+        assert norm_from_json({"kind": "pnorm", "p": raw}) == PNorm(math.inf, 2)
+    assert norm_from_json({"kind": "euclidean", "scale": 2}) == EuclideanNorm(2.0)
 
 
 def test_builtin_norm_names():
@@ -380,3 +390,5 @@ def test_builtin_norm_names():
     assert builtin_norm("pinf") == PNorm(math.inf, 2)
     with pytest.raises(ValueError):
         builtin_norm("wat")
+    with pytest.raises(ValueError, match="unknown builtin norm 'pabc'"):
+        builtin_norm("pabc")

@@ -1,5 +1,6 @@
 """Smoke runs of the scripts in ``scripts/`` at tiny sizes."""
 
+import json
 import os
 import subprocess
 import sys
@@ -7,6 +8,9 @@ import sys
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# group orders of the survey's euclidean, p3, hexagonal, square, diamond and
+# lens spheres; at 64 samples the hexagon's offsets are fractional
+SURVEY_ORDERS = ["continuous", 8, 12, 8, 8, 4]
 
 
 @pytest.mark.parametrize("script, args, out", [
@@ -22,3 +26,8 @@ def test_script_runs_at_tiny_size(tmp_path, script, args, out):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
     assert (tmp_path / out).read_text().strip()
+    if script == "symmetry_survey.py":
+        groups = json.loads((tmp_path / out).read_text())["groups"]
+        orders = ["continuous" if g["continuous"] else g["order"] for g in groups]
+        assert orders == SURVEY_ORDERS
+

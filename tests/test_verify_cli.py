@@ -187,7 +187,13 @@ def test_cli_names_the_bad_field(tmp_path, capsys):
              "angles and values must be lists of the same length"),
             ("text_dim", '{"kind": "pnorm", "p": 3, "dim": "x"}', "dim must be an integer"),
             ("long_vertex", '{"kind": "polygon", "vertices": [[1, 0, 0], [0, 1, 0]]}',
-             "vertices[0] must be")):
+             "vertices[0] must be"),
+            ("bool_p", '{"kind": "pnorm", "p": true}', "p must be a number, got True"),
+            ("text_p", '{"kind": "pnorm", "p": "abc"}', "p must be a number, got 'abc'"),
+            ("null_p", '{"kind": "pnorm", "p": null}', "p must be a number, got None"),
+            ("list_p", '{"kind": "pnorm", "p": [3]}', "p must be a number, got [3]"),
+            ("bool_scale", '{"kind": "euclidean", "scale": true}',
+             "scale must be a number, got True")):
         spec = tmp_path / f"{name}.json"
         spec.write_text(text)
         assert main(["validate", "--norm", str(spec)]) == 2
