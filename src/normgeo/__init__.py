@@ -11,9 +11,8 @@ from ._version import __version__
 from .config import DEFAULT_TOLS, Tolerances
 from .norms import (EuclideanNorm, HexagonalNorm, LensNorm, Norm, PNorm,
                     PolygonNorm, RadialGaugeNorm, RevolutionNorm, SpherePoint,
-                    builtin_norm, diamond_norm, eval_norm, hexagonal_norm,
-                    norm_from_json, radial_point, sphere_point, square_norm,
-                    validate_norm)
+                    builtin_norm, diamond_norm, hexagonal_norm, norm_from_json,
+                    radial_point, sphere_point, square_norm, validate_norm)
 from .sphere import (ArcSet, BisectorPair, SphereSegment, arc_hausdorff,
                      arcset, bisector_points, diametral_set,
                      is_flat, is_isosceles_orthogonal, maximal_segments,

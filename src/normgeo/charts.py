@@ -94,7 +94,7 @@ def _vectors_of(points) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def make_chart(norm: Norm, basis, *, tol: float = DEFAULT_TOLS.geometric) -> CoordinateChart:
+def make_chart(norm: Norm, basis) -> CoordinateChart:
     """Chart sending ``basis[i]`` (unit vectors) to the standard basis.
 
     Raises when the basis is linearly dependent or not normalised; the
@@ -105,7 +105,7 @@ def make_chart(norm: Norm, basis, *, tol: float = DEFAULT_TOLS.geometric) -> Coo
     if vecs.shape != (n, n):
         raise ValueError(f"need {n} basis vectors of dimension {n}, got {vecs.shape}")
     values = norm(vecs)
-    if np.abs(values - 1.0).max() > tol:
+    if np.abs(values - 1.0).max() > DEFAULT_TOLS.geometric:
         raise ValueError(f"basis vectors must have norm 1, got {values.tolist()}")
     matrix = vecs.T
     scale = float(np.prod(np.sqrt((vecs * vecs).sum(axis=1))))
@@ -176,8 +176,7 @@ class LinearityReport:
         }
 
 
-def antipodality_defect(sample: SphereMapSample, *,
-                        match_tol: float = DEFAULT_TOLS.geometric) -> float:
+def antipodality_defect(sample: SphereMapSample) -> float:
     """``max ||tau(-x) + tau(x)||_Y`` over the sample.
 
     Every source must come with its exact antipode; a missing antipode is a
@@ -187,7 +186,7 @@ def antipodality_defect(sample: SphereMapSample, *,
     sums = np.abs(src[None, :, :] + src[:, None, :]).sum(axis=2)
     partner = np.argmin(sums, axis=1)
     worst = float(sums[np.arange(len(sample)), partner].max())
-    if worst > match_tol:
+    if worst > DEFAULT_TOLS.geometric:
         raise ValueError(f"sample is missing antipodes (worst gap {worst:.2e})")
     return float(sample.norm_y(sample.images + sample.images[partner]).max())
 
@@ -336,8 +335,7 @@ def _direction(u, name: str) -> np.ndarray:
     return vec
 
 
-def arc_distinguishes(norm: Norm, arc, p, q, tol: float = 1e-9,
-                      *, per_interval: int = 512) -> bool:
+def arc_distinguishes(norm: Norm, arc, p, q, tol: float = 1e-9) -> bool:
     """True when some point of ``arc`` has different distances to ``p`` and ``q``.
 
     ``arc`` is an :class:`ArcSet` (sampled along each interval) or an explicit
@@ -348,7 +346,7 @@ def arc_distinguishes(norm: Norm, arc, p, q, tol: float = 1e-9,
     if np.array_equal(pv, qv):
         return False
     if isinstance(arc, ArcSet):
-        pts = radial_points_vec(norm, arc.sample(per_interval))
+        pts = radial_points_vec(norm, arc.sample())
     else:
         pts = np.atleast_2d(np.asarray(arc, dtype=float))
     gaps = np.abs(norm(pts - pv) - norm(pts - qv))
@@ -385,22 +383,26 @@ class ConeDistanceCheck:
     law_holds: bool
 
 
-def cone_distance_check(norm, p, q, *, half_width: float | None = None,
-                        tol: float = 1e-12) -> ConeDistanceCheck:
+# Inside the cone the distance is one face functional, |p2 - q2| up to the
+# rounding of a polygon gauge, well within this.
+_CONE_LAW_TOL = 1e-12
+
+
+def cone_distance_check(norm, p, q) -> ConeDistanceCheck:
     """Inside the cone ``|dx| <= w |dy|`` distances reduce to ``|dy|``.
 
     When the sphere's top face is ``[-w, w] x {1}``, any pair whose offset
     lies in that cone has ``||p - q|| = |p2 - q2|``.  Outside the cone the
     check is flagged and no equality is asserted.
     """
-    w = top_face_half_width(norm) if half_width is None else float(half_width)
+    w = top_face_half_width(norm)
     pv = np.asarray(p, dtype=float)
     qv = np.asarray(q, dtype=float)
     dx = float(abs(pv[0] - qv[0]))
     dy = float(abs(pv[1] - qv[1]))
     dist = float(norm(pv - qv))
     in_cone = bool(dx <= w * dy + 1e-15)
-    law = bool(in_cone and abs(dist - dy) <= tol)
+    law = bool(in_cone and abs(dist - dy) <= _CONE_LAW_TOL)
     return ConeDistanceCheck(dist, dy, w, in_cone, law)
 
 
@@ -410,15 +412,15 @@ def cone_reconstruct_abscissa(delta: float, beta: float, half_width: float) -> f
     return delta + (1.0 + beta) * half_width
 
 
-def base_leftmost_crossing(norm, point, *, level: float | None = None) -> float:
-    """Leftmost ``t`` with ``||(t, -1) - point|| <= level`` (default ``1 + beta``).
+def base_leftmost_crossing(norm, point) -> float:
+    """Leftmost ``t`` with ``||(t, -1) - point|| <= 1 + beta``, ``beta = point[1]``.
 
     The distance along the line ``y = -1`` decreases toward the point, so a
     bracket search on the left branch lands on the left edge of the level
     set exactly.
     """
     pv = np.asarray(point, dtype=float)
-    lvl = (1.0 + pv[1]) if level is None else float(level)
+    lvl = 1.0 + pv[1]
 
     def f(t: np.ndarray) -> np.ndarray:
         pts = np.stack([t, np.full_like(t, -1.0)], axis=-1)

@@ -7,7 +7,11 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    """One knob per class of numeric comparison.
+    """One shared value per class of numeric comparison.
+
+    Code reads ``DEFAULT_TOLS`` where it compares; the only parameters that
+    default to a field are the ``tol`` of ``align``, ``isometry_group`` and
+    ``SphereMapSample``, which callers set.
 
     evaluation   membership / equality of norm values (sphere certification,
                  level-set thresholds)

@@ -414,8 +414,8 @@ def modulus_of_convexity(norm: Norm, eps: float, resolution: int = 512) -> float
 
     At the default ``resolution``, for ``eps < 2``: within 1e-13 of the closed
     forms of the round, l_3 and l_1.5 spheres and their linear images, and
-    within 1.5e-11 on hexagon images (the sum peaks on a kink).  At ``eps = 2``,
-    where
+    within 5e-11 on hexagon images (the sum peaks on a kink, so the last
+    zoom's angle step, 4.5e-11, bounds the error).  At ``eps = 2``, where
     ``delta`` is not Lipschitz, rounding in the chord leaves 7.3e-6 on l_3.
     """
     best = _best_sum(norm, eps, _checked_resolution(norm, "eps", eps, resolution))
@@ -428,9 +428,6 @@ class ModulusCurve:
 
     norm_kind: str
     samples: tuple[tuple[float, float], ...]
-
-    def epsilons(self) -> np.ndarray:
-        return np.asarray([e for e, _ in self.samples])
 
     def deltas(self) -> np.ndarray:
         return np.asarray([d for _, d in self.samples])

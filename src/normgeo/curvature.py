@@ -27,6 +27,13 @@ __all__ = [
 ]
 
 DEFAULT_DELTAS: tuple[float, ...] = tuple(0.1 * 2.0 ** (-k) for k in range(8))
+# Curve parameters over one period on which each radius's two crossings are
+# bracketed before they are searched down to adjacent floats.
+_GRID = 4096
+# Ratios within this of 0 over the whole schedule are a straight piece.  The
+# ratios of a curvature k tend to k^2 / 4, so curvatures below 2 sqrt(1e-5),
+# 6.3e-3, read as 0.
+_ZERO_RATIO = 1e-5
 
 
 @dataclass(frozen=True)
@@ -79,21 +86,21 @@ class TwoPointConditionError(ValueError):
         self.count = count
 
 
-def _distance_grid(ambient: Norm, curve: ClosedCurve, t0: float, grid: int):
-    """``curve(t0)``, ``grid`` parameters over one period from ``t0``, and the
+def _distance_grid(ambient: Norm, curve: ClosedCurve, t0: float):
+    """``curve(t0)``, ``_GRID`` parameters over one period from ``t0``, and the
     ambient distances of their curve points from ``curve(t0)``.
 
     Every radius ``delta`` of one curvature estimate is bracketed on these.
     """
     x = curve.point(t0)
-    ts = t0 + np.linspace(0.0, curve.period, grid, endpoint=False)
+    ts = t0 + np.linspace(0.0, curve.period, _GRID, endpoint=False)
     return x, ts, ambient(curve.points(ts) - x)
 
 
 def _two_points_at_distance(ambient: Norm, curve: ClosedCurve, dist_grid, delta: float):
     """The two curve points at ambient distance ``delta`` from ``curve(t0)``.
 
-    ``dist_grid`` is ``_distance_grid(ambient, curve, t0, grid)``.  Bracketed
+    ``dist_grid`` is ``_distance_grid(ambient, curve, t0)``.  Bracketed
     sign changes of ``||x - curve(t)|| - delta`` are counted on its grid;
     anything other than exactly two is an error.  Both brackets are then
     searched together down to adjacent floats, so that straight pieces yield
@@ -146,19 +153,18 @@ class CurvatureEstimate:
 
 
 def normed_curvature(ambient: Norm, curve: ClosedCurve, t0: float,
-                     deltas=DEFAULT_DELTAS, *, grid: int = 4096,
-                     zero_ratio_tol: float = 1e-5) -> CurvatureEstimate:
+                     deltas=DEFAULT_DELTAS) -> CurvatureEstimate:
     """Curvature of ``curve`` at ``curve(t0)`` measured with ``ambient``.
 
     The schedule must be strictly decreasing and small enough that every
     distance sphere meets the curve exactly twice.  Ratios below
-    ``zero_ratio_tol`` across the whole schedule are treated as exactly flat.
+    ``_ZERO_RATIO`` across the whole schedule are treated as exactly flat.
     """
     ds = [float(d) for d in deltas]
     if any(b >= a for a, b in zip(ds, ds[1:])) or not ds:
         raise ValueError("the delta schedule must be strictly decreasing")
     ratios = []
-    dist_grid = _distance_grid(ambient, curve, t0, grid)
+    dist_grid = _distance_grid(ambient, curve, t0)
     for delta in ds:
         x, a, b = _two_points_at_distance(ambient, curve, dist_grid, delta)
         d = float(ambient(x - a))
@@ -169,7 +175,7 @@ def normed_curvature(ambient: Norm, curve: ClosedCurve, t0: float,
 
     # flatness first: on a straight piece the rounding noise in the ratios
     # grows like d^-3 and would pass the divergence test below
-    if np.abs(rvals).max() <= zero_ratio_tol:
+    if np.abs(rvals).max() <= _ZERO_RATIO:
         return CurvatureEstimate(0.0, tuple(ratios), 0.0,
                                  float(np.abs(rvals).max()), False, False)
     tail = rvals[-4:]
@@ -185,8 +191,7 @@ def normed_curvature(ambient: Norm, curve: ClosedCurve, t0: float,
     return CurvatureEstimate(value, tuple(ratios), limit, resid, False, False)
 
 
-def corner_ratio(norm: Norm, theta: float, deltas=DEFAULT_DELTAS,
-                 *, grid: int = 4096) -> float:
+def corner_ratio(norm: Norm, theta: float) -> float:
     """Limit of ``||a - a'|| / delta`` on the norm's own sphere at angle ``theta``.
 
     Equals 2 at smooth sphere points; a corner pulls the limit strictly
@@ -194,11 +199,10 @@ def corner_ratio(norm: Norm, theta: float, deltas=DEFAULT_DELTAS,
     """
     curve = sphere_curve(norm)
     qs = []
-    ds = [float(d) for d in deltas]
-    dist_grid = _distance_grid(norm, curve, float(theta), grid)
-    for delta in ds:
+    dist_grid = _distance_grid(norm, curve, float(theta))
+    for delta in DEFAULT_DELTAS:
         x, a, b = _two_points_at_distance(norm, curve, dist_grid, delta)
         d = float(norm(x - a))
         qs.append(float(norm(a - b)) / d)
-    intercept, _, _, _ = fit_quadratic(np.asarray(ds), np.asarray(qs))
+    intercept, _, _, _ = fit_quadratic(np.asarray(DEFAULT_DELTAS), np.asarray(qs))
     return float(min(2.0, max(0.0, intercept)))

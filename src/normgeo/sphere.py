@@ -26,6 +26,11 @@ __all__ = [
 ]
 
 
+# Angles per interval in ``ArcSet.sample``, the grid on which
+# ``arc_distinguishes`` compares distances along an arc.
+_SAMPLES_PER_INTERVAL = 512
+
+
 @dataclass(frozen=True)
 class ArcSet:
     """Union of closed angle intervals on the circle, owned by a 2D norm."""
@@ -53,17 +58,16 @@ class ArcSet:
             out.extend((a, b))
         return out
 
-    def sample(self, per_interval: int = 256) -> np.ndarray:
-        """Angles covering the set, endpoints included."""
-        parts = [np.linspace(a, b, per_interval) for a, b in self.intervals]
+    def sample(self) -> np.ndarray:
+        """``_SAMPLES_PER_INTERVAL`` angles along each interval, endpoints included."""
+        parts = [np.linspace(a, b, _SAMPLES_PER_INTERVAL) for a, b in self.intervals]
         return np.concatenate(parts) % TWO_PI
 
     def to_json(self) -> dict:
         return {"intervals": [[a, b] for a, b in self.intervals]}
 
 
-def arcset(intervals, norm: Norm | None = None,
-           merge_gap: float = DEFAULT_TOLS.arc_merge) -> ArcSet:
+def arcset(intervals, norm: Norm | None = None) -> ArcSet:
     """Normalise raw intervals: reduce mod 2pi, split wraps, merge near-abutting."""
     pieces: list[tuple[float, float]] = []
     for lo, hi in intervals:
@@ -81,7 +85,7 @@ def arcset(intervals, norm: Norm | None = None,
     pieces.sort()
     merged: list[list[float]] = []
     for lo, hi in pieces:
-        if merged and lo - merged[-1][1] < merge_gap:
+        if merged and lo - merged[-1][1] < DEFAULT_TOLS.arc_merge:
             merged[-1][1] = max(merged[-1][1], hi)
         else:
             merged.append([lo, hi])
@@ -141,8 +145,7 @@ def _theta_of(p: SpherePoint) -> float:
     return math.atan2(p.v[1], p.v[0]) % TWO_PI
 
 
-def _both_sides(norm: Norm, alphas: np.ndarray, search: str, pred,
-                angle_tol: float) -> np.ndarray:
+def _both_sides(norm: Norm, alphas: np.ndarray, search: str, pred) -> np.ndarray:
     """One ``bracket_search`` for the first angle ``t`` in ``[0, pi]``, on
     each side of each start angle, at which ``pred`` holds.
 
@@ -155,18 +158,17 @@ def _both_sides(norm: Norm, alphas: np.ndarray, search: str, pred,
     zeros = np.zeros(2 * len(alphas))
     t_lo, t, converged = bracket_search(
         lambda t: pred(start + np.where(back, TWO_PI - t, t)),
-        zeros, zeros + math.pi, xtol=angle_tol)
+        zeros, zeros + math.pi, xtol=DEFAULT_TOLS.angle)
     require_converged(converged, t_lo, t, f"{search} on the {norm.kind} sphere")
     return t
 
 
-def _diametral_arcs(norm: Norm, points, level_tol: float,
-                    angle_tol: float) -> list[ArcSet]:
+def _diametral_arcs(norm: Norm, points) -> list[ArcSet]:
     """Distance-2 sets of several sphere points: both sides of all in one search."""
     xvs = np.array([p.vec for p in points])
     alphas = np.array([_theta_of(p) for p in points])
     # anchor the level at the attained maximum so near-sphere inputs stay safe
-    levels = norm(xvs - radial_points_vec(norm, alphas + math.pi)) - level_tol
+    levels = norm(xvs - radial_points_vec(norm, alphas + math.pi)) - DEFAULT_TOLS.evaluation
     row_xvs = np.repeat(xvs, 2, axis=0)[:, None, :]
     row_levels = np.repeat(levels, 2)[:, None]
 
@@ -174,14 +176,12 @@ def _diametral_arcs(norm: Norm, points, level_tol: float,
         pts = radial_points_vec(norm, theta.ravel()).reshape(*theta.shape, 2)
         return norm((row_xvs - pts).reshape(-1, 2)).reshape(theta.shape) >= row_levels
 
-    t = _both_sides(norm, alphas, "distance-2 search", reached, angle_tol).tolist()
+    t = _both_sides(norm, alphas, "distance-2 search", reached).tolist()
     return [arcset([(alpha + t_fwd, alpha + TWO_PI - t_bwd)], norm=norm)
             for alpha, t_fwd, t_bwd in zip(alphas.tolist(), t[::2], t[1::2])]
 
 
-def diametral_set(norm: Norm, x: SpherePoint, *,
-                  level_tol: float = DEFAULT_TOLS.evaluation,
-                  angle_tol: float = DEFAULT_TOLS.angle) -> ArcSet:
+def diametral_set(norm: Norm, x: SpherePoint) -> ArcSet:
     """Sphere points at chordal distance exactly 2 from ``x``.
 
     The distance to ``x`` rises monotonically from 0 to 2 along each arc
@@ -192,12 +192,10 @@ def diametral_set(norm: Norm, x: SpherePoint, *,
     if norm.dim != 2:
         raise ValueError("diametral_set requires a 2D norm")
     _require_owner(norm, x)
-    return _diametral_arcs(norm, [x], level_tol, angle_tol)[0]
+    return _diametral_arcs(norm, [x])[0]
 
 
-def star(norm: Norm, x: SpherePoint, *,
-         level_tol: float = DEFAULT_TOLS.evaluation,
-         angle_tol: float = DEFAULT_TOLS.angle) -> ArcSet:
+def star(norm: Norm, x: SpherePoint) -> ArcSet:
     """Points x' whose segment [x, x'] lies inside the sphere.
 
     By convexity this is exactly {x' : ||(x + x')/2|| = 1}; the midpoint norm
@@ -209,24 +207,29 @@ def star(norm: Norm, x: SpherePoint, *,
     _require_owner(norm, x)
     xv = x.vec
     alpha = _theta_of(x)
-    level = float(norm(0.5 * (xv + radial_vec(norm, alpha)))) - 0.5 * level_tol
+    level = float(norm(0.5 * (xv + radial_vec(norm, alpha)))) - 0.5 * DEFAULT_TOLS.evaluation
 
     def left(theta):
         pts = radial_points_vec(norm, theta.ravel())
         return norm(0.5 * (xv + pts)).reshape(theta.shape) < level
 
-    t_fwd, t_bwd = _both_sides(norm, np.array([alpha]), "star search", left,
-                               angle_tol).tolist()
+    t_fwd, t_bwd = _both_sides(norm, np.array([alpha]), "star search", left).tolist()
     return arcset([(alpha - t_bwd, alpha + t_fwd)], norm=norm)
 
 
-def is_flat(norm: Norm, x: SpherePoint, radius: float = 1e-3,
-            *, tol: float = 1e-6) -> bool:
+# Diametral arcs end within 1e-13 in angle, so a locally constant distance-2
+# set differs from its probes' by rounding, far below this; a moving one
+# moves by about the probe radius (1e-3 by default).
+_FLAT_HAUSDORFF = 1e-6
+
+
+def is_flat(norm: Norm, x: SpherePoint, radius: float = 1e-3) -> bool:
     """True when the distance-2 set is locally constant around ``x``.
 
     Probes one point at sphere distance ``radius`` on each side of ``x`` (one
     bracket search for both) and compares the three diametral sets (one
-    search for all six sides) in the circular Hausdorff metric.
+    search for all six sides) in the circular Hausdorff metric, up to
+    ``_FLAT_HAUSDORFF``.
     """
     if not 0.0 < radius < 2.0:  # the probes must lie strictly between x and -x
         raise ValueError(f"radius must lie in (0, 2), got {radius!r}")
@@ -247,9 +250,8 @@ def is_flat(norm: Norm, x: SpherePoint, radius: float = 1e-3,
     t = 0.5 * (t_lo + t_hi)
     probes = [radial_point(norm, alpha + sign * ti)
               for sign, ti in zip((1.0, -1.0), t.tolist())]
-    base, *others = _diametral_arcs(norm, [x, *probes], DEFAULT_TOLS.evaluation,
-                                    DEFAULT_TOLS.angle)
-    return all(arc_hausdorff(base, other) <= tol for other in others)
+    base, *others = _diametral_arcs(norm, [x, *probes])
+    return all(arc_hausdorff(base, other) <= _FLAT_HAUSDORFF for other in others)
 
 
 @dataclass(frozen=True)
@@ -289,16 +291,21 @@ class BisectorPair:
     unique: bool
 
 
-def bisector_points(norm: Norm, x: SpherePoint, *,
-                    tie_tol: float = 1e-10,
-                    width_tol: float = 1e-6) -> BisectorPair:
+# ``|g| <= _BISECTOR_TIE`` is a tie: g is a difference of two norm values up
+# to 2, whose rounding is ~1e-15.  Tie edges are found within 1e-13, so a tie
+# interval wider than ``_BISECTOR_WIDTH`` is a flat piece of g, not one root.
+_BISECTOR_TIE = 1e-10
+_BISECTOR_WIDTH = 1e-6
+
+
+def bisector_points(norm: Norm, x: SpherePoint) -> BisectorPair:
     """Solve ``||z - x|| = ||z + x||`` on the sphere.
 
     ``g(theta) = ||s - x|| - ||s + x||`` rises monotonically from -2 to 2 on
     the half circle, so one bracket search finds its root and a second one
-    both edges of the interval where ``|g| <= tie_tol``.  If that interval
-    is wider than ``width_tol`` the result is flagged non-unique and the
-    interval midpoint is returned.
+    both edges of the interval where ``|g| <= _BISECTOR_TIE``.  If that
+    interval is wider than ``_BISECTOR_WIDTH`` the result is flagged
+    non-unique and the interval midpoint is returned.
     """
     if norm.dim != 2:
         raise ValueError("bisector_points requires a 2D norm")
@@ -318,11 +325,11 @@ def bisector_points(norm: Norm, x: SpherePoint, *,
     # the tie interval's edges: forward from 0 and backward from pi, together
     back = np.array([[False], [True]])
     lo, hi, converged = bracket_search(
-        lambda u: np.abs(g(np.where(back, math.pi - u, u))) <= tie_tol,
+        lambda u: np.abs(g(np.where(back, math.pi - u, u))) <= _BISECTOR_TIE,
         [0.0, 0.0], [root, math.pi - root], xtol=DEFAULT_TOLS.angle)
     require_converged(converged, lo, hi, search)
     t_lo, t_hi = float(hi[0]), math.pi - float(hi[1])
-    unique = (t_hi - t_lo) <= width_tol
+    unique = (t_hi - t_lo) <= _BISECTOR_WIDTH
     t_mid = 0.5 * (t_lo + t_hi)
     z = radial_point(norm, alpha + t_mid)
     return BisectorPair(z, z.antipode(), unique)

@@ -216,8 +216,12 @@ def _check_diametral_star(claims: list[ClaimResult]) -> None:
            0.5, float(hexn(mid)), 1e-15, "exact arithmetic")
 
 
-def run_reference_checks(seed: int = 0, *, ridge_samples: int = 360,
-                         closure_pairs: int = 128) -> VerificationReport:
+# Random pairs of the equidistant circle whose normalised differences the
+# closure claim checks.
+_CLOSURE_PAIRS = 128
+
+
+def run_reference_checks(seed: int = 0, *, ridge_samples: int = 360) -> VerificationReport:
     """Recompute every built-in reference value and report pass/fail."""
     if ridge_samples < 1:
         raise ValueError(f"ridge_samples must be positive, got {ridge_samples}")
@@ -226,7 +230,7 @@ def run_reference_checks(seed: int = 0, *, ridge_samples: int = 360,
     _check_maxnorm_table(claims)
     _check_cubenorm_basis(claims)
     _check_revolution_ridge(claims, ridge_samples)
-    _check_revolution_bisector(claims, closure_pairs, rng)
+    _check_revolution_bisector(claims, _CLOSURE_PAIRS, rng)
     _check_circle_curvature(claims)
     _check_hexagon_facts(claims)
     _check_diametral_star(claims)
@@ -234,6 +238,6 @@ def run_reference_checks(seed: int = 0, *, ridge_samples: int = 360,
         "version": __version__,
         "seed": seed,
         "ridge_samples": ridge_samples,
-        "closure_pairs": closure_pairs,
+        "closure_pairs": _CLOSURE_PAIRS,
     }
     return VerificationReport(tuple(claims), env, all(c.passed for c in claims))

@@ -13,6 +13,11 @@ P3_IMAGE_MATRIX = ((-0.285, -0.981), (0.953, -0.231))
 SWEEP_BANDS = ((0.2, 0.8), (0.8, 1.4), (1.4, 1.95))
 
 
+def hexagon_image(matrix):
+    """The affine-regular hexagon's sphere carried by ``matrix``."""
+    return PolygonNorm(tuple(map(tuple, np.asarray(HEX_VERTICES) @ np.asarray(matrix).T)))
+
+
 def round_modulus(eps):
     return 1.0 - math.sqrt(1.0 - eps * eps / 4.0)
 
@@ -149,15 +154,21 @@ def test_p3_image_matches_clarkson():
 def test_linear_images_keep_the_modulus(seed):
     # the hexagon image's sum peaks on a kink, where a partner crosses a vertex
     matrix, rng = seeded_matrix(seed)
-    images = ((LinearImageNorm(PNorm(3.0, 2), matrix), clarkson_modulus),
-              (LinearImageNorm(PNorm(1.5, 2), matrix), hanner_modulus),
-              (PolygonNorm(tuple(map(tuple, np.asarray(HEX_VERTICES) @ np.asarray(matrix).T))),
-               hexagon_modulus))
+    images = ((LinearImageNorm(PNorm(3.0, 2), matrix), clarkson_modulus, 1e-10),
+              (LinearImageNorm(PNorm(1.5, 2), matrix), hanner_modulus, 1e-10),
+              (hexagon_image(matrix), hexagon_modulus, 5e-11))
     for lo, hi in SWEEP_BANDS:
         eps = float(rng.uniform(lo, hi))
-        for image, exact in images:
+        for image, exact, bound in images:
             assert modulus_of_convexity(image, eps) == pytest.approx(
-                exact(eps), abs=1e-10), (image.kind, eps)
+                exact(eps), abs=bound), (image.kind, eps)
+
+
+@pytest.mark.parametrize("seed, eps", [(11, 1.6782803729740818), (20, 1.95)])
+def test_hexagon_images_keep_the_documented_bound(seed, eps):
+    # the worst misses found over seeds 11-20: 1.92e-11 and 2.37e-11
+    image = hexagon_image(seeded_matrix(seed)[0])
+    assert modulus_of_convexity(image, eps) == pytest.approx(hexagon_modulus(eps), abs=5e-11)
 
 
 def test_resolution_must_be_an_integer_of_at_least_64(p3):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from normgeo import (EuclideanNorm, HexagonalNorm, LensNorm, PNorm,
                      PolygonNorm, RadialGaugeNorm, RevolutionNorm,
-                     builtin_norm, diamond_norm, eval_norm, hexagonal_norm,
+                     builtin_norm, diamond_norm, hexagonal_norm,
                      lift_target_norm, norm_from_json, radial_point,
                      sphere_point, square_norm, validate_norm)
 from normgeo.norms import HEX_VERTICES, radial_points_vec
@@ -78,7 +78,7 @@ def test_dimension_mismatch_raises(hexn):
     with pytest.raises(ValueError):
         hexn([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
-        eval_norm(PNorm(2.0, 3), [1.0, 2.0])
+        PNorm(2.0, 3)([1.0, 2.0])
 
 
 @st.composite
@@ -373,7 +373,15 @@ def test_norm_from_json_names_bad_fields():
             ({"kind": "pnorm", "p": [3]}, r"p must be a number, got \[3\]"),
             ({"kind": "euclidean", "scale": True}, "scale must be a number, got True"),
             ({"kind": "euclidean", "scale": "2"}, "scale must be a number, got '2'"),
-            ({"kind": "euclidean", "scale": None}, "scale must be a number, got None")):
+            ({"kind": "euclidean", "scale": None}, "scale must be a number, got None"),
+            ({"kind": "radial", "angles": "ab", "values": "cd"},
+             "angles must be a list of numbers, got 'ab'"),
+            ({"kind": "radial", "angles": [0, 1], "values": "cd"},
+             "values must be a list of numbers, got 'cd'"),
+            ({"kind": "revolution", "profile": 3},
+             "profile must be a norm object with a 'kind' field, got 3"),
+            ({"kind": "revolution", "profile": {"p": 3}},
+             "profile must be a norm object with a 'kind' field")):
         with pytest.raises(ValueError, match=message):
             norm_from_json(data)
     assert norm_from_json({"kind": "pnorm", "p": 3, "dim": 3}) == PNorm(3.0, 3)

@@ -193,7 +193,13 @@ def test_cli_names_the_bad_field(tmp_path, capsys):
             ("null_p", '{"kind": "pnorm", "p": null}', "p must be a number, got None"),
             ("list_p", '{"kind": "pnorm", "p": [3]}', "p must be a number, got [3]"),
             ("bool_scale", '{"kind": "euclidean", "scale": true}',
-             "scale must be a number, got True")):
+             "scale must be a number, got True"),
+            ("text_angles", '{"kind": "radial", "angles": "ab", "values": "cd"}',
+             "angles must be a list of numbers, got 'ab'"),
+            ("text_values", '{"kind": "radial", "angles": [0, 1], "values": "cd"}',
+             "values must be a list of numbers, got 'cd'"),
+            ("number_profile", '{"kind": "revolution", "profile": 3}',
+             "profile must be a norm object with a 'kind' field, got 3")):
         spec = tmp_path / f"{name}.json"
         spec.write_text(text)
         assert main(["validate", "--norm", str(spec)]) == 2
