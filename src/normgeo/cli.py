@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from .charts import linearity_defect, antipodality_defect, make_chart
+from .config import DEFAULT_TOLS
 from .convexity import modulus_curve
 from .curvature import (DEFAULT_DELTAS, circle_curve, ellipse_curve,
                         normed_curvature, sphere_curve)
@@ -195,64 +196,69 @@ def _cmd_isometry(args) -> int:
     return 0
 
 
+# The flags several subcommands share; each subcommand takes those it reads.
+_FLAGS = {
+    "tol": dict(type=float, default=DEFAULT_TOLS.chord_match),
+    "seed": dict(type=int, default=0),
+    "samples": dict(type=int, default=None),
+    "out": dict(type=str, default=None, help="JSON output path"),
+    "csv": dict(type=str, default=None, help="CSV output path"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="normgeo",
         description="Geometry of unit spheres in finite-dimensional normed spaces")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-6)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--samples", type=int, default=None)
-    common.add_argument("--out", type=str, default=None, help="JSON output path")
-    common.add_argument("--csv", type=str, default=None, help="CSV output path")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run the built-in reference checks")
-    p.set_defaults(handler=_cmd_verify)
+    def command(name, handler, summary, flags):
+        """A subcommand that takes only the shared ``flags`` it reads."""
+        p = sub.add_parser(name, help=summary)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("curvature", parents=[common],
-                       help="curvature of a curve measured with a norm")
+    command("verify", _cmd_verify, "run the built-in reference checks",
+            ("seed", "samples", "out"))
+
+    p = command("curvature", _cmd_curvature, "curvature of a curve measured with a norm",
+                ("out", "csv"))
     p.add_argument("--norm", required=True)
     p.add_argument("--curve", required=True,
                    help="circle:R, ellipse:a,b, or sphere[:norm]")
     p.add_argument("--at", type=float, default=0.3,
                    help="curve parameter of the base point")
-    p.set_defaults(handler=_cmd_curvature)
 
-    p = sub.add_parser("modulus", parents=[common],
-                       help="modulus of convexity curve")
+    p = command("modulus", _cmd_modulus, "modulus of convexity curve",
+                ("samples", "out", "csv"))
     p.add_argument("--norm", required=True)
     p.add_argument("--steps", type=int, default=20)
-    p.set_defaults(handler=_cmd_modulus)
 
-    p = sub.add_parser("bisector", parents=[common],
-                       help="sphere points equidistant from x and -x")
+    p = command("bisector", _cmd_bisector, "sphere points equidistant from x and -x",
+                ("out",))
     p.add_argument("--norm", required=True)
     p.add_argument("--angle", type=float, default=0.0)
-    p.set_defaults(handler=_cmd_bisector)
 
-    p = sub.add_parser("dset", parents=[common],
-                       help="sphere points at chordal distance 2 from x")
+    p = command("dset", _cmd_dset, "sphere points at chordal distance 2 from x", ("out",))
     p.add_argument("--norm", required=True)
     p.add_argument("--angle", type=float, default=0.0)
-    p.set_defaults(handler=_cmd_dset)
 
-    p = sub.add_parser("isometry", parents=[common],
-                       help="chord-matrix alignment search between two spheres")
+    p = command("isometry", _cmd_isometry,
+                "chord-matrix alignment search between two spheres",
+                ("tol", "samples", "out"))
     p.add_argument("--normA", dest="norm_a", required=True)
     p.add_argument("--normB", dest="norm_b", required=True)
-    p.set_defaults(handler=_cmd_isometry)
 
-    p = sub.add_parser("fingerprint", parents=[common],
-                       help="equal-arc-length sphere sampling and chord matrix")
+    p = command("fingerprint", _cmd_fingerprint,
+                "equal-arc-length sphere sampling and chord matrix",
+                ("samples", "out", "csv"))
     p.add_argument("--norm", required=True)
-    p.set_defaults(handler=_cmd_fingerprint)
 
-    p = sub.add_parser("validate", parents=[common],
-                       help="sampled norm-axiom checks")
+    p = command("validate", _cmd_validate, "sampled norm-axiom checks",
+                ("seed", "samples", "out"))
     p.add_argument("--norm", required=True)
-    p.set_defaults(handler=_cmd_validate)
 
     return parser
 

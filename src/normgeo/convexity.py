@@ -7,15 +7,15 @@ grows monotonically along either half circle, so each ``b1`` has one partner
 faces reach the sum 2 and give exactly 0.
 
 Each partner is the one that 45 lockstep halvings of ``[0, pi]`` find with
-a norm call at every midpoint, but it costs a handful of calls.  Checked
-angles bracket it (the chord below ``eps`` at ``a``, at least ``eps`` at
-``b``) and the secant through the bracket estimates it as ``p``.  The
-halvings are walked by arithmetic alone to their last bracket
-``lo < p <= hi`` (a cell), and both ends are checked in one call.  If the
-chord is below ``eps`` at ``lo`` and at least ``eps`` at ``hi``, every
-earlier midpoint lies at or below ``lo`` or at or above ``hi``, so
-monotonicity decides it as the norm call would, and the halvings end on
-``hi``.  A failed check tightens the bracket for the next secant; after a
+a norm call at every midpoint, but it costs about 14 calls on the first
+grid and as few as 4 in a zoom.  Checked angles bracket it (the chord
+below ``eps`` at ``a``, at least ``eps`` at ``b``) and the secant through
+the bracket estimates it as ``p``.  The halvings are walked by arithmetic
+alone to their last bracket ``lo < p <= hi`` (a cell), and both ends are
+checked in one call.  If the chord is below ``eps`` at ``lo`` and at least
+``eps`` at ``hi``, every earlier midpoint lies at or below ``lo`` or at or
+above ``hi``, so monotonicity decides it as the norm call would, and the
+halvings end on ``hi``.  A failed check tightens the bracket for the next secant; after a
 few cells the plain halvings take over, with a norm call only at the
 midpoints inside the bracket.  So a poor bracket costs calls but never
 changes a partner.
@@ -26,12 +26,10 @@ rounding, and the plain halvings start from angles whose chords clear
 ``eps`` by more than it; where the chord is flat at ``eps``, as at
 ``eps = 2`` (the antipode), every midpoint is evaluated.
 
-The first grid brackets every 8th angle of each side by regula falsi steps
-from ``[0, pi]``, and the angles at stride 4, 2 and 1 by a cubic fit of the
-coarser partners, checked at both ends; the angles no cell settles, from
-every stride, share one run of the plain halvings.  Every zoom angle is
-fitted from the whole first grid.  Where a polygon's chord has a flat side,
-the secant runs through the other side's last two angles.
+First-grid angles are bracketed by regula falsi steps from ``[0, pi]``,
+and zoom angles by a cubic fit of the first grid's partners; where a
+polygon's chord has a flat side, the secant runs through the other side's
+last two angles.
 """
 
 from __future__ import annotations
@@ -55,33 +53,34 @@ _CELL = math.pi / 2.0 ** _HALVINGS
 # margin also keeps a face exactly eps long, whose far vertex the bisection
 # may overshoot by 1e-13 when rounding puts its chord just below eps.
 _FLAT_FLOOR = 2.0 - 1e-12
-# The first grid has 8 * resolution angles, both sides, so that the best grid
-# angle lies within a step of the global maximum.  Each zoom takes 65 angles
-# over one step either side of the best 4 (a step 32 times finer).  Two zooms
-# bring a smooth maximum within 1e-12, but a polygon's sum peaks on a kink
-# (the partner at a vertex) and errs by about the step: five zooms leave
-# 2pi / (8 * resolution * 32**5), 4.5e-11 at the default resolution.  The
-# multiple is a power of two: every 8th angle is searched from [0, pi], and
-# the angles between are fitted at strides 4, 2 and 1.
-_GRID_MULTIPLE, _CANDIDATES, _ZOOM_POINTS, _ZOOMS = 8, 4, 65, 5
-# 8 * 64 first-grid angles still give the closed forms within 1e-13.
+# The first grid has ``resolution`` angles, both sides.  Each zoom takes 65
+# angles over one step either side of the best 4 (a step 32 times finer).  Two
+# zooms bring a smooth maximum within 1e-12, but a polygon's sum peaks on a
+# kink (the partner at a vertex) and errs by about the step: six zooms leave
+# 2pi / (resolution * 32**6), 1.14e-11 at the default resolution.
+_CANDIDATES, _ZOOM_POINTS, _ZOOMS = 4, 65, 6
+# At 64 first-grid angles the round, l_3 and l_1.5 spheres keep their closed
+# forms to 4.3e-14 over eps in [0.05, 1.99], as at 512.
 _MIN_RESOLUTION = 64
 # Half-width of a fitted bracket: 1/16 of the larger 4th difference of the
-# partners around it (a cubic fit errs by about 3/128 of it) plus 16 last
-# halvings, the noise of the partners it is fitted to.  Both set only how many
-# norm calls a partner costs, never which partner is found.
+# partners around it (a cubic fit errs by about 3/128 of it; from the first
+# grid at the default resolution, by at most 0.04 of it on l_3 and l_1.5) plus
+# 16 last halvings, the noise of the partners it is fitted to.  Both set only
+# how many norm calls a partner costs, never which partner is found: on l_3
+# images 1.5% of the zoom angles miss their fit (sweep inputs).
 _FIT_SHARE, _FIT_SLACK = 1.0 / 16.0, 16.0 * math.pi / 2.0 ** _HALVINGS
 # A fitted bracket wider than this (2**35 last halvings) straddles a kink of
-# the partners, as on polygons; smooth spheres fit within 1e-6.  A zoom with
-# such a fit runs the plain halvings for every angle at once.
+# the partners, as on polygons; smooth spheres fit within 1.4e-4 at the
+# default resolution.  A zoom with such a fit runs the plain halvings for every
+# angle at once.
 _WIDE_FIT = 2.0 ** 35 * _CELL
-# Regula falsi steps from [0, pi] for the angles without a fitted bracket:
-# 12 bring nearly every partner of the round, l_3 and lens spheres into its
-# last bracket for eps up to 1.9.
+# Regula falsi steps from [0, pi] for the first-grid angles: 12 bring nearly
+# every partner of the round, l_3 and lens spheres into its last bracket for
+# eps up to 1.9.
 _FALSI_STEPS = 12
-# Cells tried before the plain halvings: three leave ~1% of the angles of the
-# smooth spheres open (sweep inputs); polygons leave more, at kinks, where the
-# chord has a corner or a flat side.
+# Cells tried before the plain halvings: three leave at most 2.5% of the
+# first-grid angles of the smooth spheres open (sweep inputs); polygons leave
+# more at kinks, where the chord has a corner or a flat side.
 _CELL_TRIES = 3
 # Rounding leaves the computed chord within ~2e-15 of a monotone function of
 # t (second differences at three adjacent midpoints, measured on the builtin
@@ -247,25 +246,25 @@ def _secant(bracket: np.ndarray) -> np.ndarray:
     return np.where(flat & (side > a) & (side < b), side, p)
 
 
-def _settled_partners(norm: Norm, eps: float, x: np.ndarray, thetas: np.ndarray,
-                      sides: np.ndarray, a=None, b=None, tries: int = _CELL_TRIES
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The partners that checked cells settle, bit for bit ``_partners`` on
-    ``[0, pi]``, from brackets ``[a, b]`` checked at both ends, or without
-    them from ``_FALSI_STEPS`` regula falsi steps.
+def _checked_partners(norm: Norm, eps: float, x: np.ndarray, thetas: np.ndarray,
+                      sides: np.ndarray, a=None, b=None) -> np.ndarray:
+    """The partners, bit for bit ``_partners`` on ``[0, pi]``, from brackets
+    ``[a, b]`` checked at both ends, or without them from ``_FALSI_STEPS``
+    regula falsi steps.
 
     The secant through each bracket falls in a last bracket (cell) of the
     halvings, checked at both ends in one call; a failed check tightens the
-    bracket for the next secant.  Returns the partners, the rows left open
-    after ``tries`` cells or where the chord is too flat for a cell to decide
-    (their partners hold the last estimate), and their clear angles.  At
-    ``eps = 2`` every row is left open on ``[0, pi]``: the chord is flat at
-    the antipode.
+    bracket for the next secant.  The rows still open after ``_CELL_TRIES``
+    cells, or where the chord is too flat for a cell to decide, share one run
+    of ``_partners`` from their clear angles.  Where some fit is too loose to
+    try, no cell is tried: the plain halvings run anyway, and the other rows
+    ride along in their norm calls for less than cells cost.  At ``eps = 2``
+    the chord is flat at the antipode, so every midpoint is evaluated.
     """
+    if eps == 2.0:
+        return _partners(norm, eps, x, thetas, sides, 0.0, math.pi)
     rows = np.arange(thetas.size)
     bracket = _new_brackets(eps, rows.size)
-    if eps == 2.0:
-        return np.full(thetas.size, math.pi), rows, bracket[[_C0, _C1]]
 
     def f(at: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Chord minus ``eps`` at ``t`` for the angles ``rows[at % rows.size]``."""
@@ -279,9 +278,10 @@ def _settled_partners(norm: Norm, eps: float, x: np.ndarray, thetas: np.ndarray,
         for _ in range(_FALSI_STEPS):
             t = _secant(bracket)
             _tighten(bracket, t, f(np.arange(rows.size), t))
+    tries = 0 if a is not None and (b - a > _WIDE_FIT).any() else _CELL_TRIES
     partners = _secant(bracket)
     parked = []
-    for _ in range(tries if rows.size else 0):
+    for _ in range(tries):
         cell = np.concatenate(_cell(_secant(bracket)))
         partners[rows] = cell[rows.size:]
         # chords minus eps at both ends; an end at or past a clear angle
@@ -312,21 +312,10 @@ def _settled_partners(norm: Norm, eps: float, x: np.ndarray, thetas: np.ndarray,
         if not rows.size:
             break
         _tighten(bracket, cell[probe[miss]], fc[probe[miss]])
-    return (partners, np.concatenate([rows] + [r for r, _ in parked]),
-            np.concatenate([bracket[[_C0, _C1]]] + [c for _, c in parked], axis=1))
-
-
-def _checked_partners(norm: Norm, eps: float, x: np.ndarray, thetas: np.ndarray,
-                      sides: np.ndarray, a=None, b=None) -> np.ndarray:
-    """``_settled_partners`` with ``_partners`` for the rows left open.
-
-    Where some fit is too loose to try, the plain halvings run anyway, and
-    the other rows ride along in their norm calls for less than tries cost.
-    """
-    tries = 0 if a is not None and (b - a > _WIDE_FIT).any() else _CELL_TRIES
-    partners, rows, clear = _settled_partners(norm, eps, x, thetas, sides, a, b, tries)
-    if rows.size:
-        partners[rows] = _partners(norm, eps, x[rows], thetas[rows], sides[rows], *clear)
+    left = np.concatenate([rows] + [r for r, _ in parked])
+    if left.size:
+        clear = np.concatenate([bracket[[_C0, _C1]]] + [c for _, c in parked], axis=1)
+        partners[left] = _partners(norm, eps, x[left], thetas[left], sides[left], *clear)
     return partners
 
 
@@ -353,47 +342,16 @@ def _fitted_bracket(table: np.ndarray, sides: np.ndarray, pos: np.ndarray
     return np.clip(fit - margin, 0.0, math.pi), np.clip(fit + margin, 0.0, math.pi)
 
 
-def _grid_partners(norm: Norm, eps: float, x: np.ndarray, thetas: np.ndarray,
-                   sides: np.ndarray) -> np.ndarray:
-    """Partners of the first grid: every ``_GRID_MULTIPLE``-th angle of each
-    side searched from ``[0, pi]``, then the angles halfway between known
-    partners fitted from them, halving the stride down to 1.  The rows no
-    cell settles, from every stride, share one run of ``_partners``; until
-    then their estimates serve the fits."""
-    rows = np.arange(thetas.size).reshape(2, -1)
-    partners = np.empty_like(thetas)
-    open_rows, open_clear = [], []
-    stride, new, bracket = _GRID_MULTIPLE, rows[:, ::_GRID_MULTIPLE].ravel(), ()
-    while True:
-        partners[new], left, clear = _settled_partners(
-            norm, eps, x[new], thetas[new], sides[new], *bracket)
-        open_rows.append(new[left])
-        open_clear.append(clear)
-        if stride == 1:
-            break
-        half = stride // 2
-        new = rows[:, half::stride].ravel()
-        bracket = _fitted_bracket(partners[rows[:, ::stride]], sides[new],
-                                  (new % rows.shape[1]) / stride)
-        stride = half
-    left = np.concatenate(open_rows)
-    if left.size:
-        partners[left] = _partners(norm, eps, x[left], thetas[left], sides[left],
-                                   *np.concatenate(open_clear, axis=1))
-    return partners
-
-
 def _best_sum(norm: Norm, eps: float, resolution: int) -> float:
     """Largest ``||b1 + b2||`` over sphere pairs with ``||b1 - b2|| = eps``."""
-    count = _GRID_MULTIPLE * resolution
-    step = TWO_PI / count
-    thetas = np.tile(np.arange(count) * step, 2)
-    sides = np.repeat([1.0, -1.0], count)
+    step = TWO_PI / resolution
+    thetas = np.tile(np.arange(resolution) * step, 2)
+    sides = np.repeat([1.0, -1.0], resolution)
     x = radial_points_vec(norm, thetas)
-    partners = _grid_partners(norm, eps, x, thetas, sides)
+    partners = _checked_partners(norm, eps, x, thetas, sides)
     sums = norm(x + radial_points_vec(norm, thetas + sides * partners))
     best = float(sums.max())
-    table, grid_step = partners.reshape(2, count), step
+    table, grid_step = partners.reshape(2, resolution), step
     for _ in range(_ZOOMS):
         if best >= _FLAT_FLOOR:
             break
@@ -414,8 +372,8 @@ def modulus_of_convexity(norm: Norm, eps: float, resolution: int = 512) -> float
 
     At the default ``resolution``, for ``eps < 2``: within 1e-13 of the closed
     forms of the round, l_3 and l_1.5 spheres and their linear images, and
-    within 5e-11 on hexagon images (the sum peaks on a kink, so the last
-    zoom's angle step, 4.5e-11, bounds the error).  At ``eps = 2``, where
+    within 1.5e-11 on hexagon images (the sum peaks on a kink, so the last
+    zoom's angle step, 1.14e-11, bounds the error).  At ``eps = 2``, where
     ``delta`` is not Lipschitz, rounding in the chord leaves 7.3e-6 on l_3.
     """
     best = _best_sum(norm, eps, _checked_resolution(norm, "eps", eps, resolution))

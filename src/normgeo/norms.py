@@ -501,10 +501,14 @@ class RadialGaugeNorm(Norm):
         anti = np.abs(r[half:] - r[:half]).max()
         if anti > 1e-10 * r.max():
             raise ValueError(f"radial function must have period pi (gap {anti:.2e})")
-        pts = r[:, None] * np.column_stack([np.cos(grid), np.sin(grid)])
-        e1 = np.roll(pts, -1, axis=0) - pts
-        e2 = np.roll(pts, -2, axis=0) - np.roll(pts, -1, axis=0)
-        cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            pts = r[:, None] * np.column_stack([np.cos(grid), np.sin(grid)])
+            e1 = np.roll(pts, -1, axis=0) - pts
+            e2 = np.roll(pts, -2, axis=0) - np.roll(pts, -1, axis=0)
+            cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        if not np.all(np.isfinite(cross)):
+            raise ValueError("values must keep the sphere's edge cross products "
+                             f"finite, got a largest radius of {r.max():.3g}")
         if cross.min() < -1e-6 * np.abs(cross).mean():
             raise ValueError("radial function does not bound a convex region")
 

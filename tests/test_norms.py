@@ -378,6 +378,8 @@ def test_norm_from_json_names_bad_fields():
              "angles must be a list of numbers, got 'ab'"),
             ({"kind": "radial", "angles": [0, 1], "values": "cd"},
              "values must be a list of numbers, got 'cd'"),
+            ({"kind": "radial", "angles": [k * math.pi / 8 for k in range(16)],
+              "values": [1e308] * 16}, "values must keep the sphere's edge cross products"),
             ({"kind": "revolution", "profile": 3},
              "profile must be a norm object with a 'kind' field, got 3"),
             ({"kind": "revolution", "profile": {"p": 3}},

@@ -148,6 +148,19 @@ def test_cli_rejects_a_bad_sample_count(argv, samples, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["dset", "--norm", "hexagonal", "--csv", "x.csv"],
+    ["bisector", "--norm", "hexagonal", "--samples", "7"],
+    ["dset", "--norm", "hexagonal", "--tol", "5"],
+    ["curvature", "--norm", "euclidean", "--curve", "circle:1", "--seed", "3"],
+])
+def test_cli_rejects_a_flag_the_subcommand_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_rejects_unknown_norm(capsys):
     assert main(["validate", "--norm", "nonsense"]) == 2
 
@@ -198,6 +211,10 @@ def test_cli_names_the_bad_field(tmp_path, capsys):
              "angles must be a list of numbers, got 'ab'"),
             ("text_values", '{"kind": "radial", "angles": [0, 1], "values": "cd"}',
              "values must be a list of numbers, got 'cd'"),
+            ("huge_values", json.dumps({"kind": "radial",
+                                        "angles": [k * math.pi / 8 for k in range(16)],
+                                        "values": [1e308] * 16}),
+             "values must keep the sphere's edge cross products finite"),
             ("number_profile", '{"kind": "revolution", "profile": 3}',
              "profile must be a norm object with a 'kind' field, got 3")):
         spec = tmp_path / f"{name}.json"
