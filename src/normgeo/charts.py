@@ -94,6 +94,17 @@ def _vectors_of(points) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
+# Vectors whose determinant is below this are a dependent pair up to rounding:
+# a chart basis relative to the product of its Euclidean lengths (Hadamard's
+# bound, floored at _LENGTH_FLOOR so that an underflowed product still
+# compares), the scan's u1, u2 as they stand.
+_DEPENDENT = 1e-12
+_LENGTH_FLOOR = 1e-300
+# A chart basis vector counts as sampled when a source matches it to this in
+# every coordinate; one sphere point computed two ways agrees to ~1e-15.
+_SAMPLED_BASIS = 1e-8
+
+
 def make_chart(norm: Norm, basis) -> CoordinateChart:
     """Chart sending ``basis[i]`` (unit vectors) to the standard basis.
 
@@ -110,7 +121,7 @@ def make_chart(norm: Norm, basis) -> CoordinateChart:
     matrix = vecs.T
     scale = float(np.prod(np.sqrt((vecs * vecs).sum(axis=1))))
     det = float(np.linalg.det(matrix))
-    if abs(det) < 1e-12 * max(scale, 1e-300):
+    if abs(det) < _DEPENDENT * max(scale, _LENGTH_FLOOR):
         raise ValueError(f"basis vectors are linearly dependent: {vecs.tolist()}")
     cond = float(np.linalg.cond(matrix))
     induced = LinearImageNorm(norm, tuple(tuple(float(x) for x in row) for row in matrix))
@@ -180,15 +191,54 @@ def antipodality_defect(sample: SphereMapSample) -> float:
     """``max ||tau(-x) + tau(x)||_Y`` over the sample.
 
     Every source must come with its exact antipode; a missing antipode is a
-    sampler bug and raises.
+    sampler bug and raises.  The antipode of a source is the source of
+    least L1 gap ``|x + x'|_1``, the lowest index among ties; it is found in
+    a sorted window of one coordinate instead of among all pairs.
     """
-    src = sample.sources
-    sums = np.abs(src[None, :, :] + src[:, None, :]).sum(axis=2)
-    partner = np.argmin(sums, axis=1)
-    worst = float(sums[np.arange(len(sample)), partner].max())
-    if worst > DEFAULT_TOLS.geometric:
-        raise ValueError(f"sample is missing antipodes (worst gap {worst:.2e})")
+    partner = _antipodes(sample.sources, DEFAULT_TOLS.geometric)
     return float(sample.norm_y(sample.images + sample.images[partner]).max())
+
+
+# Antipodes are matched on the key x . (1, 1/phi, 1/phi^2, ...), one
+# coordinate in a frame no polygon face of the package lies along, so a face
+# does not put a whole side of the sample in one window.  The key moves by at
+# most the L1 gap, and its window is widened by this multiple of the largest
+# L1 length of a source against the rounding of the keys.
+_KEY_SLACK = 2.0 ** -48
+# Pairs per block when the error path computes every row's least gap.
+_ERROR_BLOCK = 2 ** 18
+
+
+def _antipodes(src: np.ndarray, tol: float) -> np.ndarray:
+    """For each row ``x`` of ``src``, the lowest index among the rows ``x'``
+    of least L1 gap ``|x + x'|_1``; raises when that gap exceeds ``tol``.
+
+    A pair within ``tol`` has keys within it, so only the rows whose key
+    lies in a window about minus the row's key are compared.  When a row
+    has no partner there, the worst gap of the whole sample is computed in
+    row chunks for the error.
+    """
+    n, dim = src.shape
+    key = src @ ((math.sqrt(5.0) - 1.0) / 2.0) ** np.arange(dim)
+    half = tol + _KEY_SLACK * float(np.abs(src).sum(axis=1).max(initial=0.0))
+    order = np.argsort(key, kind="stable")
+    ranked = key[order]
+    start = np.searchsorted(ranked, -key - half, "left")
+    count = np.searchsorted(ranked, -key + half, "right") - start
+    total = int(count.sum())
+    rows = np.repeat(np.arange(n), count)
+    cols = order[np.repeat(start - np.cumsum(count) + count, count) + np.arange(total)]
+    gaps = np.abs(src[cols] + src[rows]).sum(axis=1)
+    if count.all():
+        firsts = np.cumsum(count) - count
+        least = np.minimum.reduceat(gaps, firsts)
+        if least.max() <= tol:
+            cols = np.where(gaps == least[rows], cols, n)
+            return np.minimum.reduceat(cols, firsts)
+    step = max(1, _ERROR_BLOCK // n)
+    worst = float(np.max([np.abs(src[None, :, :] + src[lo:lo + step, None, :])
+                          .sum(axis=2).min(axis=1).max() for lo in range(0, n, step)]))
+    raise ValueError(f"sample is missing antipodes (worst gap {worst:.2e})")
 
 
 def _locate_rows(haystack: np.ndarray, needles: np.ndarray, tol: float) -> list[int]:
@@ -213,7 +263,7 @@ def linearity_defect(sample: SphereMapSample, chart_x: CoordinateChart,
     """
     if chart_x.norm != sample.norm_x or chart_y.norm != sample.norm_y:
         raise ValueError("charts do not belong to the sampled norms")
-    _locate_rows(sample.sources, np.asarray(chart_x.basis, dtype=float), 1e-8)
+    _locate_rows(sample.sources, np.asarray(chart_x.basis, dtype=float), _SAMPLED_BASIS)
     coords_x = chart_x.to_coordinates(sample.sources)
     coords_y = chart_y.to_coordinates(sample.images)
     gaps = np.sqrt(((coords_y - coords_x) ** 2).sum(axis=1))
@@ -247,12 +297,10 @@ def four_distance_injectivity(norm: Norm, u1, u2, resolution: int = 4096,
     pair attaining ``min_gap``, as plain float tuples with the smaller sample
     index first, the lowest index pair winning ties.
 
-    The search is a sort-and-sweep closest pair: the tuples are sorted by
-    ``||v+u1||``, and each sorted row is compared with the rows 1, 2, ...
-    places after it while the key difference, a lower bound of the gap,
-    stays within the best gap found so far.  Only the pairs whose
-    ``||v+u2||`` difference, a second lower bound, is also within it need
-    the full gap.
+    The search is an exact closest pair on a grid: the pairs exactly
+    ``min_separation_steps + 1`` steps apart bound ``min_gap``, and only the
+    pairs in one cell or two adjacent cells of about that width, cut on
+    three of the four distances, need the full gap (``_closest_far_pair``).
 
     Raises ``ValueError`` when ``resolution`` or ``min_separation_steps`` is
     not an integer, when no sample pair is far apart, when ``u1`` or
@@ -263,7 +311,7 @@ def four_distance_injectivity(norm: Norm, u1, u2, resolution: int = 4096,
     if norm.dim != 2:
         raise ValueError("the scan works on 2D spheres")
     a, b = _direction(u1, "u1"), _direction(u2, "u2")
-    if abs(a[0] * b[1] - a[1] * b[0]) < 1e-12:
+    if abs(a[0] * b[1] - a[1] * b[0]) < _DEPENDENT:
         raise ValueError("u1, u2 must form a basis")
     if not tol >= 0.0:
         raise ValueError(f"tol must be >= 0, got {tol!r}")
@@ -289,38 +337,75 @@ def four_distance_injectivity(norm: Norm, u1, u2, resolution: int = 4096,
         if not (np.isfinite(dist).all() and (dist.max(axis=0) > dist.min(axis=0)).all()):
             raise ValueError(f"{name} {u!r} is too long for this norm: the distances "
                              f"to +-{name} overflow or round the sphere away")
-    # pairs exactly m + 1 steps apart are always far apart: they seed the bound
+    best, lo, hi = _closest_far_pair(tuples, m)
+    if best > tol:
+        return InjectivityResult(True, None, best)
+    wit = (tuple(pts[lo].tolist()), tuple(pts[hi].tolist()))
+    return InjectivityResult(False, wit, best)
+
+
+# Cells are cut on ||v+u1||, ||v+u2|| and ||v-u2||.  Four coordinates take
+# 40 neighbour offsets where three take 13, and with two the faces of the
+# square pile up ~0.5M candidate pairs at 4096 samples.
+_CELL_COLUMNS = [0, 2, 3]
+# A cell is this much wider than the bound, which absorbs the rounding of
+# (t - low) / side while no column spans more than 2^20 cells.
+_CELL_WIDEN = 1.0 + 2.0 ** -30
+
+
+def _closest_far_pair(tuples: np.ndarray, m: int) -> tuple[float, int, int]:
+    """The exact smallest sup-gap between rows of ``tuples`` more than ``m``
+    steps apart (circularly), with the lowest index pair ``lo < hi`` at it.
+
+    The pairs exactly ``m + 1`` steps apart bound the answer by ``best``.
+    Rows go into cells of side ``max(best, span * 2^-20)``, a hair wider, on
+    three columns (``span`` the widest range among them), so any pair
+    within ``best`` lies in one cell or two adjacent ones, and no column
+    spans more than 2^20 cells, so the cell key fits in 64 bits.  The exact
+    gap is computed for those pairs only, one neighbour offset at a time.
+    """
+    n = len(tuples)
     idx = np.arange(n)
     partner = (idx + m + 1) % n
     seed = np.abs(tuples - tuples[partner]).max(axis=1)
     best = float(seed.min())
     code = _lowest_pair(idx, partner, seed == best, n)
-    order = np.argsort(tuples[:, 0], kind="stable")
-    ranked = tuples[order]
-    keys = ranked[:, 0]
-    rows = idx
-    k = 0
-    while rows.size:
-        k += 1
-        rows = rows[rows < n - k]
-        # the key gap never shrinks as k grows, and ties with best are kept
-        rows = rows[keys[rows + k] - keys[rows] <= best]
-        # the ||v+u2|| gap bounds the sup-gap as well, but only for this k
-        near = rows[np.abs(ranked[rows + k, 2] - ranked[rows, 2]) <= best]
-        i, j = order[near], order[near + k]
+    coords = tuples[:, _CELL_COLUMNS]
+    low = coords.min(axis=0)
+    span = float((coords.max(axis=0) - low).max())
+    side = max(best, span * 2.0 ** -20, np.finfo(float).tiny) * _CELL_WIDEN
+    cells = np.floor((coords - low) / side).astype(np.int64) + 1
+    base = int(cells.max()) + 2  # neighbours of the outer cells get keys of their own
+    key = (cells[:, 0] * base + cells[:, 1]) * base + cells[:, 2]
+    order = np.argsort(key, kind="stable")
+    keys, first, size = np.unique(key[order], return_index=True, return_counts=True)
+    cell = np.repeat(np.arange(keys.size), size)  # the cell of each sorted row
+    steps = (-1, 0, 1)
+    offsets = {(a * base + b) * base + c for a in steps for b in steps for c in steps}
+    for offset in sorted(o for o in offsets if o >= 0):  # each pair of cells once
+        if offset == 0:  # the rows after each row in its own cell
+            start = idx + 1
+            count = (first + size)[cell] - start
+        else:
+            to = np.minimum(np.searchsorted(keys, keys + offset), keys.size - 1)
+            start = first[to][cell]
+            count = np.where(keys[to] == keys + offset, size[to], 0)[cell]
+        total = int(count.sum())
+        if not total:
+            continue
+        at = np.repeat(start - np.cumsum(count) + count, count) + np.arange(total)
+        i, j = order[np.repeat(idx, count)], order[at]
         sep = np.abs(i - j)
-        gaps = np.where(np.minimum(sep, n - sep) > m,
-                        np.abs(ranked[near + k] - ranked[near]).max(axis=1), np.inf)
+        far = np.minimum(sep, n - sep) > m
+        i, j = i[far], j[far]
+        gaps = np.abs(tuples[i] - tuples[j]).max(axis=1)
         g = float(gaps.min(initial=np.inf))
         if g <= best:
             c = _lowest_pair(i, j, gaps == g, n)
             if (g, c) < (best, code):
                 best, code = g, c
-    if best > tol:
-        return InjectivityResult(True, None, best)
     lo, hi = divmod(code, n)
-    wit = (tuple(pts[lo].tolist()), tuple(pts[hi].tolist()))
-    return InjectivityResult(False, wit, best)
+    return best, lo, hi
 
 
 def _lowest_pair(i: np.ndarray, j: np.ndarray, at: np.ndarray, n: int) -> int:
@@ -363,11 +448,12 @@ def top_face_half_width(norm) -> float:
     if not isinstance(norm, PolygonNorm):
         raise TypeError("the flat-top construction needs a polygon norm")
     verts = norm.vertex_array()
-    top = verts[np.abs(verts[:, 1] - 1.0) <= 1e-12]
+    # vertices are compared as norm values are: a functional at 1, a symmetric pair
+    top = verts[np.abs(verts[:, 1] - 1.0) <= DEFAULT_TOLS.evaluation]
     if top.shape[0] < 2:
         raise ValueError("the sphere has no horizontal face at height 1")
     w = float(top[:, 0].max())
-    if abs(w + float(top[:, 0].min())) > 1e-12:
+    if abs(w + float(top[:, 0].min())) > DEFAULT_TOLS.evaluation:
         raise ValueError("the top face is not symmetric about the vertical axis")
     return w
 
@@ -386,6 +472,9 @@ class ConeDistanceCheck:
 # Inside the cone the distance is one face functional, |p2 - q2| up to the
 # rounding of a polygon gauge, well within this.
 _CONE_LAW_TOL = 1e-12
+# An offset on the cone's edge, dx = w dy up to the rounding of w dy (~1e-16
+# at unit scale), counts as inside.
+_CONE_EDGE = 1e-15
 
 
 def cone_distance_check(norm, p, q) -> ConeDistanceCheck:
@@ -401,7 +490,7 @@ def cone_distance_check(norm, p, q) -> ConeDistanceCheck:
     dx = float(abs(pv[0] - qv[0]))
     dy = float(abs(pv[1] - qv[1]))
     dist = float(norm(pv - qv))
-    in_cone = bool(dx <= w * dy + 1e-15)
+    in_cone = bool(dx <= w * dy + _CONE_EDGE)
     law = bool(in_cone and abs(dist - dy) <= _CONE_LAW_TOL)
     return ConeDistanceCheck(dist, dy, w, in_cone, law)
 
@@ -433,6 +522,7 @@ def base_leftmost_crossing(norm, point) -> float:
         span *= 2.0
         if span > 1e6:
             raise ValueError("no exterior bracket found on the base line")
-    lo, hi, converged = bracket_search(lambda t: f(t) <= 0.0, [lo], [pv[0]], xtol=1e-13)
+    lo, hi, converged = bracket_search(lambda t: f(t) <= 0.0, [lo], [pv[0]],
+                                       xtol=DEFAULT_TOLS.angle)
     require_converged(converged, lo, hi, f"base-line search on the {norm.kind} sphere")
     return float(hi[0])

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .norms import Norm, radial_points_vec
+from .norms import Norm, _number, radial_points_vec
 from .numerics import (TWO_PI, bracket_search, fit_quadratic, loglog_slope,
                        require_converged)
 
@@ -34,6 +34,9 @@ _GRID = 4096
 # ratios of a curvature k tend to k^2 / 4, so curvatures below 2 sqrt(1e-5),
 # 6.3e-3, read as 0.
 _ZERO_RATIO = 1e-5
+# A fitted limit below this is a negative radicand, not the fit noise of a
+# nearly flat point, and gives no curvature.
+_NEGATIVE_LIMIT = -1e-9
 
 
 @dataclass(frozen=True)
@@ -86,46 +89,48 @@ class TwoPointConditionError(ValueError):
         self.count = count
 
 
-def _distance_grid(ambient: Norm, curve: ClosedCurve, t0: float):
-    """``curve(t0)``, ``_GRID`` parameters over one period from ``t0``, and the
-    ambient distances of their curve points from ``curve(t0)``.
+def _points_at_distances(ambient: Norm, curve: ClosedCurve, t0: float, deltas):
+    """``curve(t0)`` and, for each radius of ``deltas``, the two curve points
+    at that ambient distance from it, as rows of ``a`` and ``b``.
 
-    Every radius ``delta`` of one curvature estimate is bracketed on these.
+    Sign changes of ``||x - curve(t)|| - delta`` are counted on ``_GRID``
+    parameters over one period from ``t0``; a radius with other than
+    exactly two is an error, and the first such radius in the schedule is
+    the one named.  All the brackets, two per radius, are then searched
+    together down to adjacent floats, so that straight pieces yield exactly
+    additive chords; the search gives each bracket bit for bit what it
+    gives alone.
     """
     x = curve.point(t0)
     ts = t0 + np.linspace(0.0, curve.period, _GRID, endpoint=False)
-    return x, ts, ambient(curve.points(ts) - x)
-
-
-def _two_points_at_distance(ambient: Norm, curve: ClosedCurve, dist_grid, delta: float):
-    """The two curve points at ambient distance ``delta`` from ``curve(t0)``.
-
-    ``dist_grid`` is ``_distance_grid(ambient, curve, t0)``.  Bracketed
-    sign changes of ``||x - curve(t)|| - delta`` are counted on its grid;
-    anything other than exactly two is an error.  Both brackets are then
-    searched together down to adjacent floats, so that straight pieces yield
-    exactly additive chords.
-    """
-    x, ts, dist = dist_grid
-    vals = dist - delta
-    sign_lo = vals < 0.0
-    crossings = np.flatnonzero(sign_lo != np.roll(sign_lo, -1))
-    if len(crossings) != 2:
-        raise TwoPointConditionError(delta, len(crossings))
-    below = sign_lo[crossings, None]
+    level = np.asarray(deltas, dtype=float)[:, None]
+    sign_lo = ambient(curve.points(ts) - x) - level < 0.0
+    changes = sign_lo != np.roll(sign_lo, -1, axis=1)
+    counts = changes.sum(axis=1)
+    if (counts != 2).any():
+        r = int(np.argmax(counts != 2))
+        raise TwoPointConditionError(float(level[r, 0]), int(counts[r]))
+    rows, crossings = np.nonzero(changes)  # two per radius, in schedule order
+    below, level = sign_lo[rows, crossings, None], level[rows]
 
     def crossed(t: np.ndarray) -> np.ndarray:
-        gap = ambient(curve.points(t.ravel()) - x).reshape(t.shape) - delta
+        gap = ambient(curve.points(t.ravel()) - x).reshape(t.shape) - level
         return (gap < 0.0) != below
 
-    # both crossings in one search down to adjacent floats, each between the
-    # grid nodes whose signs differ
+    # each crossing between the grid nodes whose signs differ
     ends = np.append(ts, ts[0] + curve.period)
     lo, hi, converged = bracket_search(crossed, ends[crossings], ends[crossings + 1],
                                        xtol=0.0)
     require_converged(converged, lo, hi, f"two-point search in the {ambient.kind} norm")
-    a, b = curve.points(0.5 * (lo + hi))
-    return x, a, b
+    points = curve.points(0.5 * (lo + hi))
+    return x, points[0::2], points[1::2]
+
+
+def _finite(value, name: str) -> float:
+    t = _number(value, name)
+    if not math.isfinite(t):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return t
 
 
 @dataclass(frozen=True)
@@ -159,17 +164,24 @@ def normed_curvature(ambient: Norm, curve: ClosedCurve, t0: float,
     The schedule must be strictly decreasing and small enough that every
     distance sphere meets the curve exactly twice.  Ratios below
     ``_ZERO_RATIO`` across the whole schedule are treated as exactly flat.
+    Every radius is searched in one bracket search.
+
+    Raises ``ValueError`` naming ``deltas`` when the schedule is empty, not
+    strictly decreasing or has a radius that is not finite and positive, and
+    naming ``t0`` when it is not finite; ``TwoPointConditionError`` names
+    the first radius whose sphere does not meet the curve exactly twice.
     """
-    ds = [float(d) for d in deltas]
+    try:
+        ds = [float(d) for d in deltas]
+    except (TypeError, ValueError):
+        raise ValueError(f"deltas must be numbers, got {deltas!r}") from None
+    if not all(0.0 < d < math.inf for d in ds):
+        raise ValueError(f"deltas must be finite and positive, got {ds!r}")
     if any(b >= a for a, b in zip(ds, ds[1:])) or not ds:
-        raise ValueError("the delta schedule must be strictly decreasing")
-    ratios = []
-    dist_grid = _distance_grid(ambient, curve, t0)
-    for delta in ds:
-        x, a, b = _two_points_at_distance(ambient, curve, dist_grid, delta)
-        d = float(ambient(x - a))
-        r = (2.0 * d - float(ambient(a - b))) / d ** 3
-        ratios.append((delta, r))
+        raise ValueError(f"the deltas schedule must be strictly decreasing, got {ds!r}")
+    x, a, b = _points_at_distances(ambient, curve, _finite(t0, "t0"), ds)
+    dists, chords = ambient(x - a).tolist(), ambient(a - b).tolist()
+    ratios = [(delta, (2.0 * d - chord) / d ** 3) for delta, d, chord in zip(ds, dists, chords)]
     rvals = np.asarray([r for _, r in ratios])
     darr = np.asarray(ds)
 
@@ -185,7 +197,7 @@ def normed_curvature(ambient: Norm, curve: ClosedCurve, t0: float,
         return CurvatureEstimate(math.inf, tuple(ratios), None,
                                  float("nan"), True, False)
     limit, _, _, resid = fit_quadratic(darr, rvals)
-    if limit < -1e-9:
+    if limit < _NEGATIVE_LIMIT:
         return CurvatureEstimate(None, tuple(ratios), limit, resid, False, True)
     value = 2.0 * math.sqrt(max(limit, 0.0))
     return CurvatureEstimate(value, tuple(ratios), limit, resid, False, False)
@@ -195,14 +207,12 @@ def corner_ratio(norm: Norm, theta: float) -> float:
     """Limit of ``||a - a'|| / delta`` on the norm's own sphere at angle ``theta``.
 
     Equals 2 at smooth sphere points; a corner pulls the limit strictly
-    below 2.  The extrapolated value is clipped to [0, 2].
+    below 2.  The extrapolated value is clipped to [0, 2].  The radii are
+    ``DEFAULT_DELTAS``, all searched in one bracket search; a ``theta`` that
+    is not finite raises ``ValueError``.
     """
     curve = sphere_curve(norm)
-    qs = []
-    dist_grid = _distance_grid(norm, curve, float(theta))
-    for delta in DEFAULT_DELTAS:
-        x, a, b = _two_points_at_distance(norm, curve, dist_grid, delta)
-        d = float(norm(x - a))
-        qs.append(float(norm(a - b)) / d)
-    intercept, _, _, _ = fit_quadratic(np.asarray(DEFAULT_DELTAS), np.asarray(qs))
+    x, a, b = _points_at_distances(norm, curve, _finite(theta, "theta"), DEFAULT_DELTAS)
+    qs = norm(a - b) / norm(x - a)
+    intercept, _, _, _ = fit_quadratic(np.asarray(DEFAULT_DELTAS), qs)
     return float(min(2.0, max(0.0, intercept)))

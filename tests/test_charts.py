@@ -9,7 +9,8 @@ from normgeo import (PNorm, PolygonNorm, antipodality_defect,
                      four_distance_injectivity,
                      linearity_defect, make_chart, radial_point,
                      sample_sphere_map, top_face_half_width)
-from normgeo.charts import LinearImageNorm
+from normgeo.charts import LinearImageNorm, SphereMapSample, _closest_far_pair
+from normgeo.config import DEFAULT_TOLS
 from normgeo.norms import HEX_VERTICES, radial_points_vec
 
 
@@ -130,6 +131,61 @@ def test_antipodality_requires_antipodal_sample(hexn):
         antipodality_defect(sample)
 
 
+def antipodality_reference(sample):
+    """The n x n x 2 matching: each source's partner is the lowest index
+    among the sources of least L1 gap |x + x'|_1."""
+    src = sample.sources
+    sums = np.abs(src[None, :, :] + src[:, None, :]).sum(axis=2)
+    partner = np.argmin(sums, axis=1)
+    worst = float(sums[np.arange(len(sample)), partner].max())
+    if worst > DEFAULT_TOLS.geometric:
+        raise ValueError(f"sample is missing antipodes (worst gap {worst:.2e})")
+    return float(sample.norm_y(sample.images + sample.images[partner]).max())
+
+
+def outcome(fn, sample):
+    try:
+        return fn(sample)
+    except ValueError as exc:
+        return str(exc)
+
+
+def angle_warp(norm):
+    def warp(v):
+        theta = math.atan2(v[1], v[0])
+        return radial_point(norm, theta + 0.3 * math.sin(theta)).vec
+    return warp
+
+
+@pytest.mark.parametrize("n", [8, 255, 512])
+def test_antipodality_matches_the_all_pairs_matching(euclid, square, hexn, lens, n):
+    for norm in (euclid, square, hexn, lens, PNorm(3.0, 2)):
+        for fn in (lambda v: v, lambda v: -v, angle_warp(norm)):
+            sample = sample_sphere_map(norm, norm, fn, n)
+            assert antipodality_defect(sample) == antipodality_reference(sample), norm.kind
+
+
+def test_antipodality_partner_is_the_lowest_of_tied_sources(square):
+    # every source twice, with images that tell the copies apart
+    pts = radial_points_vec(square, np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False))
+    src = np.concatenate([pts, pts[::-1]])
+    img = radial_points_vec(square, np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False))
+    sample = SphereMapSample(square, square, src, img)
+    assert antipodality_defect(sample) == antipodality_reference(sample)
+
+
+@pytest.mark.parametrize("thetas", [
+    np.linspace(0.1, 1.0, 8),
+    np.concatenate([np.linspace(0.0, 3.0, 50), np.linspace(0.0, 3.0, 50)[:-3] + math.pi]),
+])
+def test_antipodality_names_the_worst_missing_gap(square, thetas):
+    pts = radial_points_vec(square, thetas)
+    sample = SphereMapSample(square, square, pts, pts)
+    message = outcome(antipodality_reference, sample)
+    assert message.startswith("sample is missing antipodes")
+    assert outcome(antipodality_defect, sample) == message
+
+
 # -- four-distance injectivity -----------------------------------------------
 
 def test_four_distance_injectivity_quick(euclid, p3, hexn):
@@ -151,17 +207,37 @@ def test_injectivity_rejects_dependent_directions(euclid):
         four_distance_injectivity(euclid, [1, 0], [-1, 0], 256)
 
 
-def brute_force_scan(norm, u1, u2, n, m=4):
-    """O(n^2) reference: the minimal far-pair sup gap and its lowest index pair."""
+def closest_far_pair_oracle(tuples, m, rows=128):
+    """O(n^2) reference in blocks of ``rows`` rows: the smallest sup gap of
+    two rows more than ``m`` steps apart (circularly), and its lowest pair."""
+    n = len(tuples)
+    best, pair = math.inf, None
+    cols = np.arange(n)
+    for lo in range(0, n, rows):
+        i = np.arange(lo, min(lo + rows, n))
+        gaps = np.abs(tuples[i, None, 0] - tuples[None, :, 0])
+        for c in range(1, tuples.shape[1]):
+            np.maximum(gaps, np.abs(tuples[i, None, c] - tuples[None, :, c]), out=gaps)
+        sep = np.abs(i[:, None] - cols[None, :])
+        gaps[np.minimum(sep, n - sep) <= m] = np.inf
+        # the first minimum in row-major order of the symmetric matrix has i < j
+        k = int(np.argmin(gaps))
+        if gaps.flat[k] < best:
+            best, pair = float(gaps.flat[k]), (int(i[k // n]), k % n)
+    return best, pair
+
+
+def scan_tuples(norm, u1, u2, n):
     pts = radial_points_vec(norm, np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
     a, b = np.asarray(u1, dtype=float), np.asarray(u2, dtype=float)
-    tuples = np.column_stack([norm(pts + a), norm(pts - a), norm(pts + b), norm(pts - b)])
-    gaps = np.abs(tuples[:, None, :] - tuples[None, :, :]).max(axis=2)
-    sep = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    gaps[np.minimum(sep, n - sep) <= m] = np.inf
-    # the first minimum in row-major order of the symmetric matrix has i < j
-    i, j = np.unravel_index(int(np.argmin(gaps)), gaps.shape)
-    return float(gaps[i, j]), pts, tuples, (int(i), int(j))
+    return pts, np.column_stack([norm(pts + a), norm(pts - a), norm(pts + b), norm(pts - b)])
+
+
+def brute_force_scan(norm, u1, u2, n, m=4):
+    """The minimal far-pair sup gap and its lowest index pair, by the oracle."""
+    pts, tuples = scan_tuples(norm, u1, u2, n)
+    min_gap, pair = closest_far_pair_oracle(tuples, m)
+    return min_gap, pts, tuples, pair
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +296,69 @@ def test_injectivity_rejects_scans_that_certify_nothing(euclid, kwargs, name):
 def test_injectivity_smallest_resolution_has_a_far_pair(euclid):
     result = four_distance_injectivity(euclid, [1, 0], [0, 1], 10)
     assert math.isfinite(result.min_gap) and result.injective
+
+
+def test_closest_far_pair_matches_the_oracle_on_criterion_10(hexn, p3):
+    for norm in (hexn, p3):
+        pts, tuples = scan_tuples(norm, [1, 0], [0, 1], 4096)
+        gap, lo, hi = _closest_far_pair(tuples, 4)
+        assert (gap, (lo, hi)) == closest_far_pair_oracle(tuples, 4), norm.kind
+        assert four_distance_injectivity(norm, [1, 0], [0, 1], 4096).min_gap == gap
+
+
+def spaced_tuples(n=100):
+    """Rows 10 apart in the first column and 0 in the other three."""
+    tuples = np.zeros((n, 4))
+    tuples[:, 0] = 10.0 * np.arange(n)
+    return tuples
+
+
+def test_closest_far_pair_finds_exact_duplicates():
+    tuples = spaced_tuples()
+    tuples[60] = tuples[30]
+    tuples[90] = tuples[11]
+    assert _closest_far_pair(tuples, 4) == (0.0, 11, 90)
+
+
+def test_closest_far_pair_gives_ties_to_the_lowest_pair():
+    tuples = spaced_tuples()
+    tuples[50] = tuples[5] + [1.0, 0.0, 0.0, 0.0]
+    tuples[80] = tuples[20] + [0.0, 1.0, 0.0, 0.0]
+    tuples[90] = tuples[2] + [0.0, 0.0, -1.0, 0.0]
+    assert _closest_far_pair(tuples, 4) == (1.0, 2, 90)
+    assert closest_far_pair_oracle(tuples, 4) == (1.0, (2, 90))
+
+
+def test_closest_far_pair_with_every_column_constant():
+    assert _closest_far_pair(np.ones((20, 4)), 4) == (0.0, 0, 5)
+
+
+def test_closest_far_pair_with_a_tiny_bound():
+    # the seed pair (2, 7) bounds the answer by 1e-300; cells of that side
+    # would need keys far beyond 64 bits
+    tuples = spaced_tuples() + [10.0, 0.0, 0.0, 0.0]
+    tuples[2] = 0.0
+    tuples[7] = [1e-300, 0.0, 0.0, 0.0]
+    assert _closest_far_pair(tuples, 4) == (1e-300, 2, 7)
+
+
+def test_closest_far_pair_skips_near_pairs():
+    tuples = spaced_tuples()
+    tuples[3] = tuples[1]   # 2 steps apart
+    tuples[98] = tuples[0]  # 2 steps apart around the circle
+    tuples[40] = tuples[70] + [0.0, 0.0, 0.0, 0.5]
+    assert _closest_far_pair(tuples, 4) == (0.5, 40, 70)
+    assert _closest_far_pair(tuples, 1) == (0.0, 0, 98)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_closest_far_pair_matches_the_oracle_on_lattice_tuples(seed):
+    # few distinct values: many exact ties, at gap 0 and above
+    rng = np.random.default_rng(seed)
+    tuples = rng.integers(0, 3 + 6 * seed, size=(300, 4)) * 0.125
+    for m in (0, 4, 40):
+        gap, lo, hi = _closest_far_pair(tuples, m)
+        assert (gap, (lo, hi)) == closest_far_pair_oracle(tuples, m)
 
 
 # -- arc determination -------------------------------------------------------

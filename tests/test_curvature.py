@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from normgeo import (EuclideanNorm, TwoPointConditionError, circle_curve,
-                     corner_ratio, diamond_norm, ellipse_curve, hexagonal_norm,
-                     normed_curvature, sphere_curve, square_norm)
+from normgeo import (EuclideanNorm, LensNorm, PNorm, TwoPointConditionError,
+                     circle_curve, corner_ratio, diamond_norm, ellipse_curve,
+                     hexagonal_norm, normed_curvature, sphere_curve, square_norm)
+from normgeo.charts import LinearImageNorm
+from normgeo.curvature import (_GRID, DEFAULT_DELTAS, ClosedCurve,
+                               _points_at_distances)
+from normgeo.numerics import bracket_search, fit_quadratic
 
 
 def test_circle_curvature_is_inverse_radius(euclid):
@@ -112,3 +116,114 @@ def test_round_sphere_curve_matches_circle(euclid):
     from normgeo import sphere_curve as sc
     est = normed_curvature(euclid, sc(euclid), 0.5)
     assert est.value == pytest.approx(1.0, abs=1e-3)
+
+
+# -- one search for every radius -----------------------------------------------
+
+def per_radius_points(ambient, curve, t0, deltas):
+    """The two curve points at each radius, one two-bracket search per radius."""
+    x = curve.point(t0)
+    ts = t0 + np.linspace(0.0, curve.period, _GRID, endpoint=False)
+    dist = ambient(curve.points(ts) - x)
+    ends = np.append(ts, ts[0] + curve.period)
+    a, b = [], []
+    for delta in deltas:
+        sign_lo = dist - delta < 0.0
+        crossings = np.flatnonzero(sign_lo != np.roll(sign_lo, -1))
+        if len(crossings) != 2:
+            raise TwoPointConditionError(delta, len(crossings))
+        below = sign_lo[crossings, None]
+
+        def crossed(t, delta=delta, below=below):
+            gap = ambient(curve.points(t.ravel()) - x).reshape(t.shape) - delta
+            return (gap < 0.0) != below
+
+        lo, hi, _ = bracket_search(crossed, ends[crossings], ends[crossings + 1], xtol=0.0)
+        pa, pb = curve.points(0.5 * (lo + hi))
+        a.append(pa)
+        b.append(pb)
+    return x, np.array(a), np.array(b)
+
+
+def per_radius_curvature_ratios(ambient, curve, t0):
+    x, a, b = per_radius_points(ambient, curve, t0, DEFAULT_DELTAS)
+    ratios = []
+    for delta, pa, pb in zip(DEFAULT_DELTAS, a, b):
+        d = float(ambient(x - pa))
+        ratios.append((delta, (2.0 * d - float(ambient(pa - pb))) / d ** 3))
+    return tuple(ratios)
+
+
+def per_radius_corner_ratio(norm, theta):
+    x, a, b = per_radius_points(norm, sphere_curve(norm), theta, DEFAULT_DELTAS)
+    qs = [float(norm(pa - pb)) / float(norm(x - pa)) for pa, pb in zip(a, b)]
+    intercept = fit_quadratic(np.asarray(DEFAULT_DELTAS), np.asarray(qs))[0]
+    return float(min(2.0, max(0.0, intercept)))
+
+
+ANGLES = np.linspace(0.0, 2.0 * math.pi, 15, endpoint=False) + 0.05
+
+
+def test_curves_in_the_round_norm_match_the_per_radius_searches():
+    eu = EuclideanNorm()
+    for curve in (circle_curve(1.3), ellipse_curve(1.4, 0.8, center=(0.3, -0.2))):
+        for t0 in ANGLES[::3]:
+            x, a, b = _points_at_distances(eu, curve, t0, DEFAULT_DELTAS)
+            ox, oa, ob = per_radius_points(eu, curve, t0, DEFAULT_DELTAS)
+            assert np.array_equal(x, ox) and np.array_equal(a, oa) and np.array_equal(b, ob)
+            est = normed_curvature(eu, curve, t0)
+            assert est.ratios == per_radius_curvature_ratios(eu, curve, t0)
+
+
+@pytest.mark.parametrize("norm", [EuclideanNorm(), PNorm(3.0, 2), PNorm(1.5, 2),
+                                  LensNorm()], ids=lambda n: n.kind)
+def test_row_wise_gauges_match_the_per_radius_searches(norm):
+    # these gauges compute each row alone, so batching every radius changes no bit
+    curve = sphere_curve(norm)
+    for theta in ANGLES:
+        assert corner_ratio(norm, theta) == per_radius_corner_ratio(norm, theta)
+    for theta in ANGLES[::5]:
+        est = normed_curvature(EuclideanNorm(), curve, theta)
+        assert est.ratios == per_radius_curvature_ratios(EuclideanNorm(), curve, theta)
+
+
+@pytest.mark.parametrize("norm", [
+    hexagonal_norm(), square_norm(),
+    LinearImageNorm(PNorm(3.0, 2), ((-0.285, -0.981), (0.953, -0.231)))],
+    ids=lambda n: n.kind)
+def test_batch_dependent_gauges_stay_near_the_per_radius_searches(norm):
+    # polygon and linear-image gauges round through matrix products whose
+    # rounding depends on the batch: the corner ratio moves by a few ulps
+    for theta in ANGLES:
+        assert corner_ratio(norm, theta) == pytest.approx(
+            per_radius_corner_ratio(norm, theta), abs=1e-14)
+
+
+def test_first_failing_radius_is_reported(euclid):
+    # from x the distance along this flat ellipse rises to ~2.1, falls to ~0.4
+    # and rises to ~3.9: radius 3 meets it twice, radii 1 and 0.5 four times
+    curve = ellipse_curve(3.0, 0.2)
+    t0 = 0.5 * math.pi + 0.3
+    with pytest.raises(TwoPointConditionError) as caught:
+        normed_curvature(euclid, curve, t0, deltas=(3.0, 1.0, 0.5, 2.0 ** -10))
+    assert (caught.value.delta, caught.value.count) == (1.0, 4)
+    with pytest.raises(TwoPointConditionError) as oracle:
+        per_radius_points(euclid, curve, t0, (3.0, 1.0, 0.5, 2.0 ** -10))
+    assert str(caught.value) == str(oracle.value)
+
+
+@pytest.mark.parametrize("deltas", [
+    (0.1, math.nan), (math.nan,), (math.inf, 0.1), (0.1, -math.inf), (0.1, 0.0),
+    (0.1, -0.05), ("a", 0.1), (), (0.1, 0.2)])
+def test_bad_deltas_are_named(euclid, deltas):
+    with pytest.raises(ValueError, match="deltas") as caught:
+        normed_curvature(euclid, circle_curve(1.0), 0.3, deltas=deltas)
+    assert not isinstance(caught.value, TwoPointConditionError)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "x", None])
+def test_bad_base_points_are_named(euclid, lens, value):
+    with pytest.raises(ValueError, match="t0"):
+        normed_curvature(euclid, circle_curve(1.0), value)
+    with pytest.raises(ValueError, match="theta"):
+        corner_ratio(lens, value)

@@ -60,6 +60,13 @@ def test_cli_curvature_circle(tmp_path, capsys):
     assert len(lines) == 9
 
 
+@pytest.mark.parametrize("at", ["nan", "inf", "-inf"])
+def test_cli_curvature_names_a_base_point_that_is_not_finite(at, capsys):
+    rc = main(["curvature", "--norm", "euclidean", "--curve", "circle:1", f"--at={at}"])
+    assert rc == 2
+    assert f"t0 must be finite, got {float(at)!r}" in capsys.readouterr().err
+
+
 def test_cli_modulus_csv(tmp_path, capsys):
     csv_path = tmp_path / "modulus.csv"
     rc = main(["modulus", "--norm", "p3", "--steps", "5", "--samples", "128",
