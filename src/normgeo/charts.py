@@ -138,11 +138,14 @@ class SphereMapSample:
         img = np.asarray(images, dtype=float)
         if src.shape[0] != img.shape[0]:
             raise ValueError("sources and images must pair up")
+        for name, pts in (("sources", src), ("images", img)):
+            if not np.isfinite(pts).all():
+                raise ValueError(f"{name} must be finite")
         off_src = float(np.abs(norm_x(src) - 1.0).max())
         off_img = float(np.abs(norm_y(img) - 1.0).max())
-        if off_src > tol:
+        if not off_src <= tol:  # also rejects NaN
             raise ValueError(f"sources leave the sphere by {off_src:.2e}")
-        if off_img > tol:
+        if not off_img <= tol:
             raise ValueError(f"images leave the sphere by {off_img:.2e}")
         self.norm_x = norm_x
         self.norm_y = norm_y

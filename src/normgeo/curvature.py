@@ -46,6 +46,10 @@ class ClosedCurve:
     fn: Callable[[np.ndarray], np.ndarray]
     period: float = TWO_PI
 
+    def __post_init__(self):
+        if not 0.0 < self.period < math.inf:  # also rejects NaN
+            raise ValueError(f"period must be finite and positive, got {self.period!r}")
+
     def points(self, ts) -> np.ndarray:
         return np.asarray(self.fn(np.atleast_1d(np.asarray(ts, dtype=float))))
 
@@ -101,6 +105,9 @@ def _points_at_distances(ambient: Norm, curve: ClosedCurve, t0: float, deltas):
     additive chords; the search gives each bracket bit for bit what it
     gives alone.
     """
+    # exact for t0 in [0, period); from a large t0 the grid would keep only
+    # the parameter's own ulp
+    t0 = t0 % curve.period
     x = curve.point(t0)
     ts = t0 + np.linspace(0.0, curve.period, _GRID, endpoint=False)
     level = np.asarray(deltas, dtype=float)[:, None]

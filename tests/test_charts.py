@@ -131,6 +131,17 @@ def test_antipodality_requires_antipodal_sample(hexn):
         antipodality_defect(sample)
 
 
+@pytest.mark.parametrize("row", [(2.0, 0.0), (math.nan, 0.0), (0.0, math.nan),
+                                 (math.inf, 0.0), (-math.inf, 1.0)])
+def test_sphere_samples_must_lie_on_the_spheres(hexn, row):
+    good = [[1.0, 0.0], [-1.0, 0.0]]
+    with pytest.raises(ValueError, match="sources"):
+        SphereMapSample(hexn, hexn, [row, [1.0, 0.0]], good)
+    with pytest.raises(ValueError, match="images"):
+        SphereMapSample(hexn, hexn, good, [[1.0, 0.0], row])
+    assert len(SphereMapSample(hexn, hexn, good, good)) == 2
+
+
 def antipodality_reference(sample):
     """The n x n x 2 matching: each source's partner is the lowest index
     among the sources of least L1 gap |x + x'|_1."""

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from normgeo import (EuclideanNorm, LensNorm, PNorm, PolygonNorm, convexity,
+from normgeo import (EuclideanNorm, LensNorm, Norm, PNorm, PolygonNorm, convexity,
                      diamond_norm, hexagonal_norm, is_strictly_convex,
                      modulus_curve, modulus_of_convexity, square_norm)
 from normgeo.charts import LinearImageNorm
@@ -186,17 +186,69 @@ def test_resolution_must_be_an_integer_of_at_least_64(p3):
     assert modulus_of_convexity(p3, 1.0, np.int64(64)) > 0.0
 
 
-def test_strict_convexity_rejects_bad_separation(p3):
-    for bad in (0.0, -1e-3, 2.5, float("nan")):
-        with pytest.raises(ValueError, match="separation"):
-            is_strictly_convex(p3, separation=bad)
+def test_strict_convexity_takes_no_separation_or_threshold(square):
+    # the verdict comes from the sampled chords, not from delta(separation) > threshold
+    for kwargs in ({"separation": 5e-3}, {"threshold": 1e-10}):
+        with pytest.raises(TypeError):
+            is_strictly_convex(square, 64, **kwargs)
+    assert not is_strictly_convex(square, 64)
 
 
-def test_strict_convexity_rejects_bad_threshold(square):
-    for bad in (float("nan"), -1.0, -1e-300, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="threshold"):
-            is_strictly_convex(square, 64, threshold=bad)
-    assert not is_strictly_convex(square, 64, threshold=0.0)
+@pytest.mark.parametrize("resolution", [64, 512])
+def test_high_order_p_norms_are_strictly_convex(resolution):
+    # delta(5e-3) is only 9.8e-12 on l_4 and 2e-14 on l_5, but the flattest
+    # grid chord sags 2.5e-9 and 2.6e-11 at 512, above the floor's 5e-13
+    for p in (4.0, 5.0):
+        assert is_strictly_convex(PNorm(p, 2), resolution), (p, resolution)
+
+
+@pytest.fixture
+def norm_calls(monkeypatch):
+    """A counter of ``Norm.__call__`` calls."""
+    calls = []
+    call = Norm.__call__
+
+    def counted(self, v):
+        calls.append(self.kind)
+        return call(self, v)
+    monkeypatch.setattr(Norm, "__call__", counted)
+    return calls
+
+
+def test_strict_convexity_takes_two_norm_calls(norm_calls):
+    # the grid points and then every chord midpoint, with no modulus search
+    for norm in list(BRACKET_SUBJECTS.values()) + [PNorm(5.0, 2), PNorm(12.0, 2)]:
+        for resolution in (64, 512):
+            norm_calls.clear()
+            is_strictly_convex(norm, resolution)
+            assert len(norm_calls) <= 2, (norm.kind, resolution)
+
+
+def searched_modulus(norm, eps, resolution):
+    """The modulus from the search alone, without the face scan."""
+    best = convexity._best_sum(norm, eps, resolution)
+    return 0.0 if best >= convexity._FLAT_FLOOR else 1.0 - 0.5 * best
+
+
+def test_face_shortcut_returns_what_the_search_returns(square, diamond, hexn):
+    polygons = [square, diamond, hexn]
+    polygons += [hexagon_image(seeded_matrix(seed)[0]) for seed in (11, 12, 13)]
+    cut = 0
+    for resolution in (64, 512):
+        for norm in polygons:
+            for eps in (5e-3, 0.5, 0.9, 2.0):
+                cut += convexity._longest_face(norm, resolution) >= eps
+                assert modulus_of_convexity(norm, eps, resolution) == searched_modulus(
+                    norm, eps, resolution), (norm.kind, eps, resolution)
+    assert cut == 40  # all but the hexagons at eps = 2
+
+
+def test_face_segments_stop_at_sampled_vertices(square, hexn):
+    # the square's vertices fall on the grid at 512: its faces, not the chord
+    # round a vertex, are measured
+    assert convexity._longest_face(square, 512) == 2.0
+    assert convexity._longest_face(hexn, 512) <= 1.0
+    assert convexity._longest_face(EuclideanNorm(), 512) == 0.0
 
 
 def lockstep_partner_sums(norm, eps, thetas, sides):

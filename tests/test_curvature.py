@@ -199,6 +199,18 @@ def test_batch_dependent_gauges_stay_near_the_per_radius_searches(norm):
             per_radius_corner_ratio(norm, theta), abs=1e-14)
 
 
+def test_large_parameters_are_taken_modulo_the_period(euclid):
+    # searched from t0 itself, the grid would resolve points only to its ulp
+    curve = circle_curve()
+    for t0 in (1e6, 1e12):
+        reduced = normed_curvature(euclid, curve, t0 % curve.period).value
+        assert normed_curvature(euclid, curve, t0).value == pytest.approx(reduced, abs=1e-9)
+    assert normed_curvature(euclid, curve, 1e17).value == pytest.approx(1.0, abs=1e-6)
+    for period in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="period"):
+            ClosedCurve(curve.fn, period)
+
+
 def test_first_failing_radius_is_reported(euclid):
     # from x the distance along this flat ellipse rises to ~2.1, falls to ~0.4
     # and rises to ~3.9: radius 3 meets it twice, radii 1 and 0.5 four times
