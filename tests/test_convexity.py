@@ -186,11 +186,18 @@ def test_resolution_must_be_an_integer_of_at_least_64(p3):
     assert modulus_of_convexity(p3, 1.0, np.int64(64)) > 0.0
 
 
-def test_strict_convexity_takes_no_separation_or_threshold(square):
-    # the verdict comes from the sampled chords, not from delta(separation) > threshold
-    for kwargs in ({"separation": 5e-3}, {"threshold": 1e-10}):
-        with pytest.raises(TypeError):
-            is_strictly_convex(square, 64, **kwargs)
+# The verdict comes from the sampled chords, not from delta(separation) >
+# threshold, so both keywords are refused as unknown.
+def test_strict_convexity_rejects_bad_separation(p3):
+    for bad in (5e-3, 0.0, float("nan")):
+        with pytest.raises(TypeError, match="separation"):
+            is_strictly_convex(p3, separation=bad)
+
+
+def test_strict_convexity_rejects_bad_threshold(square):
+    for bad in (1e-10, 0.0, float("nan")):
+        with pytest.raises(TypeError, match="threshold"):
+            is_strictly_convex(square, 64, threshold=bad)
     assert not is_strictly_convex(square, 64)
 
 
