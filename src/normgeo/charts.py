@@ -525,7 +525,11 @@ def base_leftmost_crossing(norm, point) -> float:
         span *= 2.0
         if span > 1e6:
             raise ValueError("no exterior bracket found on the base line")
-    lo, hi, converged = bracket_search(lambda t: f(t) <= 0.0, [lo], [pv[0]],
-                                       xtol=DEFAULT_TOLS.angle)
+
+    def inside(t: np.ndarray):
+        ft = f(t)
+        return ft <= 0.0, -ft
+
+    lo, hi, converged = bracket_search(inside, [lo], [pv[0]], xtol=DEFAULT_TOLS.angle)
     require_converged(converged, lo, hi, f"base-line search on the {norm.kind} sphere")
     return float(hi[0])

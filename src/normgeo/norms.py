@@ -420,9 +420,12 @@ class LensNorm(Norm):
         rising = vals[cross, None] < 0.0
         lo = grid[cross]
         hi = lo + float(grid[1] - grid[0])
-        lo, hi, converged = bracket_search(
-            lambda t: (diff(t.ravel()).reshape(t.shape) <= 0.0) != rising,
-            lo, hi, xtol=1e-14)
+
+        def crossed(t: np.ndarray):
+            d = diff(t.ravel()).reshape(t.shape)
+            return (d <= 0.0) != rising, np.where(rising, d, -d)
+
+        lo, hi, converged = bracket_search(crossed, lo, hi, xtol=1e-14)
         require_converged(converged, lo, hi, f"corner search on the {self.kind} sphere")
         roots = (0.5 * (lo + hi)) % TWO_PI
         return tuple(sorted(grid[vals == 0.0].tolist() + roots.tolist()))
@@ -591,9 +594,12 @@ def radial_vec(norm: Norm, theta: float) -> np.ndarray:
 
 def radial_points_vec(norm: Norm, thetas) -> np.ndarray:
     """Vectorised ``radial_vec``: rows are sphere points."""
-    t = np.asarray(thetas, dtype=float)
-    u = np.column_stack([np.cos(t), np.sin(t)])
-    return u / norm(u)[:, None]
+    t = np.asarray(thetas, dtype=float).ravel()
+    u = np.empty((t.size, 2))
+    np.cos(t, out=u[:, 0])
+    np.sin(t, out=u[:, 1])
+    u /= norm(u)[:, None]
+    return u
 
 
 def radial_point(norm: Norm, theta: float) -> SpherePoint:

@@ -29,6 +29,9 @@ __all__ = [
 # Angles per interval in ``ArcSet.sample``, the grid on which
 # ``arc_distinguishes`` compares distances along an arc.
 _SAMPLES_PER_INTERVAL = 512
+# Slack of ``ArcSet.contains`` in angle: ten times the resolution
+# (``DEFAULT_TOLS.angle``) to which the searches find arc ends.
+_CONTAINS_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -41,7 +44,7 @@ class ArcSet:
     def measure(self) -> float:
         return sum(b - a for a, b in self.intervals)
 
-    def contains(self, theta: float, tol: float = 1e-12) -> bool:
+    def contains(self, theta: float, tol: float = _CONTAINS_SLACK) -> bool:
         t = theta % TWO_PI
         return any(a - tol <= t <= b + tol
                    or a - tol <= t + TWO_PI <= b + tol
@@ -68,7 +71,8 @@ class ArcSet:
 
 
 def arcset(intervals, norm: Norm | None = None) -> ArcSet:
-    """Normalise raw intervals: reduce mod 2pi, split wraps, merge near-abutting."""
+    """Normalise raw intervals: reduce mod 2pi, split wraps, merge near-abutting,
+    and drop a sliver left across the seam."""
     pieces: list[tuple[float, float]] = []
     for lo, hi in intervals:
         if hi < lo:
@@ -89,6 +93,15 @@ def arcset(intervals, norm: Norm | None = None) -> ArcSet:
             merged[-1][1] = max(merged[-1][1], hi)
         else:
             merged.append([lo, hi])
+    # A piece narrower than the merge gap on one side of the 0/2pi seam, with
+    # a wider piece on the other side, is an arc's rounding overshoot past
+    # the seam (a search's level offset), not a set of its own.
+    if len(merged) > 1 and merged[0][0] == 0.0 and merged[-1][1] == TWO_PI:
+        first, last = merged[0][1] - merged[0][0], merged[-1][1] - merged[-1][0]
+        if last < DEFAULT_TOLS.arc_merge <= first:
+            merged.pop()
+        elif first < DEFAULT_TOLS.arc_merge <= last:
+            merged.pop(0)
     # a set touching the 0/2pi seam stays split; circular metrics see one arc
     return ArcSet(tuple((a, b) for a, b in merged), norm)
 
@@ -151,7 +164,9 @@ def _both_sides(norm: Norm, alphas: np.ndarray, search: str, pred) -> np.ndarray
 
     Row ``2i`` looks forward from ``alphas[i]`` and row ``2i + 1`` backward:
     ``pred`` gets the sphere angles ``alpha + t`` or ``alpha + (2pi - t)``
-    of an ``(n, k)`` grid of ``t``.  Returns the ``n`` angles ``t``.
+    of an ``(n, k)`` grid of ``t``, and returns its truths with the values
+    they threshold, which steer the search's spines.  Returns the ``n``
+    angles ``t``.
     """
     start = np.repeat(alphas, 2)[:, None]
     back = np.tile([False, True], len(alphas))[:, None]
@@ -174,7 +189,8 @@ def _diametral_arcs(norm: Norm, points) -> list[ArcSet]:
 
     def reached(theta):
         pts = radial_points_vec(norm, theta.ravel()).reshape(*theta.shape, 2)
-        return norm((row_xvs - pts).reshape(-1, 2)).reshape(theta.shape) >= row_levels
+        gap = norm((row_xvs - pts).reshape(-1, 2)).reshape(theta.shape) - row_levels
+        return gap >= 0.0, gap
 
     t = _both_sides(norm, alphas, "distance-2 search", reached).tolist()
     return [arcset([(alpha + t_fwd, alpha + TWO_PI - t_bwd)], norm=norm)
@@ -211,7 +227,8 @@ def star(norm: Norm, x: SpherePoint) -> ArcSet:
 
     def left(theta):
         pts = radial_points_vec(norm, theta.ravel())
-        return norm(0.5 * (xv + pts)).reshape(theta.shape) < level
+        gap = level - norm(0.5 * (xv + pts)).reshape(theta.shape)
+        return gap > 0.0, gap
 
     t_fwd, t_bwd = _both_sides(norm, np.array([alpha]), "star search", left).tolist()
     return arcset([(alpha - t_bwd, alpha + t_fwd)], norm=norm)
@@ -242,7 +259,8 @@ def is_flat(norm: Norm, x: SpherePoint, radius: float = 1e-3) -> bool:
 
     def beyond(t):
         pts = radial_points_vec(norm, (alpha + side * t).ravel())
-        return norm(xv - pts).reshape(t.shape) - radius > 0.0
+        gap = norm(xv - pts).reshape(t.shape) - radius
+        return gap > 0.0, gap
 
     t_lo, t_hi, converged = bracket_search(beyond, [0.0, 0.0], [math.pi, math.pi])
     require_converged(converged, t_lo, t_hi,
@@ -278,7 +296,7 @@ def maximal_segments(norm: PolygonNorm) -> list[SphereSegment]:
         length = float(norm(b - a))
         out.append(SphereSegment(
             sphere_point(norm, a), sphere_point(norm, b),
-            length, True, length >= 1.0 - 1e-12))
+            length, True, length >= 1.0 - DEFAULT_TOLS.evaluation))
     return out
 
 
@@ -296,6 +314,9 @@ class BisectorPair:
 # interval wider than ``_BISECTOR_WIDTH`` is a flat piece of g, not one root.
 _BISECTOR_TIE = 1e-10
 _BISECTOR_WIDTH = 1e-6
+# The root bracket stops this far short of x and -x, where g is -2 and 2;
+# the root lies near pi / 2 from either.
+_BISECTOR_END_GAP = 1e-9
 
 
 def bisector_points(norm: Norm, x: SpherePoint) -> BisectorPair:
@@ -318,15 +339,24 @@ def bisector_points(norm: Norm, x: SpherePoint) -> BisectorPair:
         s = radial_points_vec(norm, (alpha + t).ravel())
         return (norm(s - xv) - norm(s + xv)).reshape(t.shape)
 
-    lo, hi, converged = bracket_search(lambda t: g(t) > 0.0, [1e-9], [math.pi - 1e-9],
+    def rising(t):
+        gt = g(t)
+        return gt > 0.0, gt
+
+    lo, hi, converged = bracket_search(rising, [_BISECTOR_END_GAP],
+                                       [math.pi - _BISECTOR_END_GAP],
                                        xtol=DEFAULT_TOLS.angle)
     require_converged(converged, lo, hi, search)
     root = float(0.5 * (lo[0] + hi[0]))
     # the tie interval's edges: forward from 0 and backward from pi, together
     back = np.array([[False], [True]])
-    lo, hi, converged = bracket_search(
-        lambda u: np.abs(g(np.where(back, math.pi - u, u))) <= _BISECTOR_TIE,
-        [0.0, 0.0], [root, math.pi - root], xtol=DEFAULT_TOLS.angle)
+
+    def tied(u):
+        slack = _BISECTOR_TIE - np.abs(g(np.where(back, math.pi - u, u)))
+        return slack >= 0.0, slack
+
+    lo, hi, converged = bracket_search(tied, [0.0, 0.0], [root, math.pi - root],
+                                       xtol=DEFAULT_TOLS.angle)
     require_converged(converged, lo, hi, search)
     t_lo, t_hi = float(hi[0]), math.pi - float(hi[1])
     unique = (t_hi - t_lo) <= _BISECTOR_WIDTH
@@ -335,7 +365,8 @@ def bisector_points(norm: Norm, x: SpherePoint) -> BisectorPair:
     return BisectorPair(z, z.antipode(), unique)
 
 
-def is_isosceles_orthogonal(norm: Norm, x, z, tol: float = 1e-10) -> bool:
+def is_isosceles_orthogonal(norm: Norm, x, z,
+                            tol: float = DEFAULT_TOLS.geometric) -> bool:
     """True when ``||x + z|| == ||x - z||`` within ``tol``."""
     xa = np.asarray(x, dtype=float)
     za = np.asarray(z, dtype=float)

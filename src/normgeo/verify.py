@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._version import __version__
+from .config import DEFAULT_TOLS
 from .curvature import circle_curve, normed_curvature
 from .isometry import lift_target_norm
 from .norms import EuclideanNorm, PNorm, hexagonal_norm, radial_point, radial_points_vec
@@ -120,7 +121,8 @@ def _ridge_points(samples: int) -> np.ndarray:
         return norm(lift(psi).reshape(-1, 3) - e1).reshape(psi.shape) - 1.0 > 0.0
 
     lo, hi, converged = bracket_search(beyond, np.full(samples, 1e-12),
-                                       np.full(samples, math.pi - 1e-12), xtol=1e-13)
+                                       np.full(samples, math.pi - 1e-12),
+                                       xtol=DEFAULT_TOLS.angle)
     require_converged(converged, lo, hi, f"ridge search on the {norm.kind} sphere")
     return lift(0.5 * (lo + hi)[:, None])[:, 0]
 

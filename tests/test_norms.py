@@ -14,6 +14,8 @@ from normgeo import (EuclideanNorm, HexagonalNorm, LensNorm, PNorm,
                      sphere_point, square_norm, validate_norm)
 from normgeo.norms import HEX_VERTICES, radial_points_vec
 
+from conftest import plain_bisection
+
 
 def test_hexagonal_vertex_values(hexn):
     assert hexn([0.5, 1.0]) == 1.0
@@ -220,7 +222,6 @@ def test_lens_corners_match_a_scalar_bisection(lens):
     """The batched corner search agrees with one scalar bisection per grid
     cell where the two ellipse gauges swap."""
     from normgeo.norms import _ellipse_gauges
-    from normgeo.numerics import bisect_root
     for norm in (lens, LensNorm(**TILTED_LENS)):
         coefficients = norm._coefficients
 
@@ -231,9 +232,14 @@ def test_lens_corners_match_a_scalar_bisection(lens):
 
         grid = np.linspace(0.0, 2 * math.pi, 1024, endpoint=False)
         vals = [diff(t) for t in grid]
+        def root(a, b):  # diff changes sign once on [a, b]
+            rising = diff(a) < 0.0
+            lo, hi = plain_bisection(lambda t: (diff(t) <= 0.0) != rising, a, b, 1e-14)
+            return 0.5 * (lo + hi)
+
         expected = sorted(
             float(grid[i]) if vals[i] == 0.0 else
-            bisect_root(diff, grid[i], grid[i] + grid[1], xtol=1e-14) % (2 * math.pi)
+            root(grid[i], grid[i] + grid[1]) % (2 * math.pi)
             for i in range(1024) if vals[i] == 0.0 or vals[i] * vals[(i + 1) % 1024] < 0.0)
         assert len(norm.corner_angles()) == len(expected) == 2
         assert np.abs(np.subtract(norm.corner_angles(), expected)).max() <= 1e-14

@@ -10,6 +10,8 @@ from normgeo import (LensNorm, bisector_points, charts, curvature, diametral_set
 from normgeo.numerics import (bisect_first_true, bisect_root, bisect_root_tight,
                               bracket_search, golden_max)
 
+from conftest import plain_bisection
+
 
 def v_shape(x):
     # V-shaped maxima at every multiple of pi
@@ -108,19 +110,6 @@ def test_capped_refinements_raise(monkeypatch, hexn):
 
 # -- bracket search ----------------------------------------------------------
 
-def plain_bisection(pred, lo, hi, xtol):
-    """The scalar bisection the engine reproduces: False at lo, True at hi."""
-    while not hi - lo <= xtol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
 ROOTS = np.array([0.1, 1.0 / 3.0, 2.0, -7.25, 1e-9, 123.456])
 SEARCH_LO = ROOTS - np.array([0.3, 1.0, 1e-6, 5.0, 1e-9, 400.0])
 SEARCH_HI = ROOTS + np.array([0.7, 2.0, 3e-6, 0.5, 1.0, 1.0])
@@ -129,41 +118,68 @@ SEARCH_HI = ROOTS + np.array([0.7, 2.0, 3e-6, 0.5, 1.0, 1.0])
 XTOLS = [1e-13, 1e-6, 0.0]
 
 
-# 6 brackets walk grids of 7 nodes; 40 take one vectorised midpoint per step
+def arctan_search(roots, valued):
+    """The predicate ``arctan(x - root) >= 0`` of each row's root, with its
+    values when ``valued``, and the list of the shapes it is called on."""
+    calls = []
+
+    def pred(x):
+        calls.append(x.shape)
+        v = np.arctan(x - np.asarray(roots)[:, None])
+        return (v >= 0.0, v) if valued else v >= 0.0
+    return pred, calls
+
+
+# 6 brackets walk grids of 7 nodes; 40 take one vectorised midpoint per step;
+# with values, brackets searched alone or 6 together also walk spines
 @pytest.mark.parametrize("rows, xtol", [(6, x) for x in XTOLS] + [(40, x) for x in XTOLS],
                          ids=[str(x) for x in XTOLS] + [f"40rows-{x}" for x in XTOLS])
 def test_bracket_search_batch_is_plain_bisection_bit_for_bit(rows, xtol):
     roots, starts, stops = (np.resize(v, rows) for v in (ROOTS, SEARCH_LO, SEARCH_HI))
-    lo, hi, converged = bracket_search(lambda x: np.arctan(x - roots[:, None]) >= 0.0,
-                                       starts, stops, xtol=xtol)
-    assert converged.all()
-    for k, (a, b) in enumerate(zip(starts, stops)):
-        alone = bracket_search(lambda x, k=k: np.arctan(x - roots[k]) >= 0.0,
-                               [a], [b], xtol=xtol)
-        assert (alone[0][0], alone[1][0]) == (lo[k], hi[k])
-        ref = plain_bisection(lambda t, k=k: math.atan(t - roots[k]) >= 0.0, a, b, xtol)
-        assert ref == (lo[k], hi[k])
-    assert np.all(hi - lo <= xtol) or xtol == 0.0
+    for valued in (False, True):
+        lo, hi, converged = bracket_search(arctan_search(roots, valued)[0], starts, stops,
+                                           xtol=xtol)
+        assert converged.all()
+        for k, (a, b) in enumerate(zip(starts, stops)):
+            alone = bracket_search(arctan_search(roots[k:k + 1], valued)[0], [a], [b],
+                                   xtol=xtol)
+            assert (alone[0][0], alone[1][0]) == (lo[k], hi[k])
+            ref = plain_bisection(lambda t, k=k: math.atan(t - roots[k]) >= 0.0, a, b, xtol)
+            assert ref == (lo[k], hi[k])
+        assert np.all(hi - lo <= xtol) or xtol == 0.0
 
 
 def test_bracket_search_counts_one_call_per_step():
-    shapes = []
-
-    def pred(x):
-        shapes.append(x.shape)
-        return x >= 1.0
-
+    pred, shapes = arctan_search([1.0], False)
     lo, hi, converged = bracket_search(pred, [1.0 - math.pi / 2], [1.0 + math.pi / 2])
     assert converged[0] and hi[0] - lo[0] <= 1e-13 and lo[0] < 1.0 <= hi[0]
-    assert shapes[0] == (1, 2)  # the ends
-    assert set(shapes[1:]) == {(1, 63)}
-    assert len(shapes) <= math.ceil(math.log(math.pi / 1e-13, 33)) + 2
-    shapes.clear()
+    # every call holds the ends and 63 midpoints, six levels of bisection
+    assert set(shapes) == {(1, 65)}
+    assert len(shapes) == math.ceil(math.log2(math.pi / 1e-13) / 6) == 8
+    pred, shapes = arctan_search(np.ones(6), False)
     bracket_search(pred, np.zeros(6), np.full(6, 3.0))
-    assert set(shapes[1:]) == {(6, 7)}
-    shapes.clear()
+    assert set(shapes) == {(6, 9)}
+    pred, shapes = arctan_search(np.ones(40), False)
     bracket_search(pred, np.zeros(40), np.full(40, 3.0))
-    assert set(shapes[1:]) == {(40, 1)}
+    assert shapes[0] == (40, 3) and set(shapes[1:]) == {(40, 1)}
+
+
+def test_bracket_search_speculates_on_values():
+    """Values add a spine to each row after the first call; a smooth root
+    closes in two calls (one of slack allowed) where the grid alone takes
+    eight, bit for bit."""
+    pred, shapes = arctan_search([1.0], True)
+    lo, hi, converged = bracket_search(pred, [1.0 - math.pi / 2], [1.0 + math.pi / 2])
+    assert converged[0] and len(shapes) <= 3
+    assert shapes[0] == (1, 65) and all(k > 65 for _, k in shapes[1:])
+    assert (lo[0], hi[0]) == bracket_search(arctan_search([1.0], False)[0],
+                                            [1.0 - math.pi / 2], [1.0 + math.pi / 2])[:2]
+    pred, shapes = arctan_search(np.ones(6), True)
+    bracket_search(pred, np.zeros(6), np.full(6, 3.0))
+    assert len(shapes) <= 4  # 15 calls of 3 levels without values
+    pred, shapes = arctan_search(np.ones(40), True)  # many brackets: no spines
+    bracket_search(pred, np.zeros(40), np.full(40, 3.0))
+    assert shapes[0] == (40, 3) and set(shapes[1:]) == {(40, 1)}
 
 
 def test_bracket_search_to_zero_width_ends_on_adjacent_floats():
@@ -218,8 +234,34 @@ def test_scalar_wrappers_follow_the_engine():
 
 
 def capped_search(monkeypatch, module):
+    # one call: the ends and one grid, which closes no bracket of these searches
     monkeypatch.setattr(module, "bracket_search",
-                        functools.partial(bracket_search, max_iter=2))
+                        functools.partial(bracket_search, max_iter=1))
+
+
+# Most predicate calls per query over the angles 0.3, 2.0 and 4.4, one above
+# the counts measured with value spines; plain grids took 10, 10, 19 and 26.
+QUERY_CALLS = {"hexagonal": (6, 6, 7, 11), "pnorm": (8, 8, 6, 13), "lens": (7, 8, 7, 12)}
+
+
+def test_sphere_queries_keep_their_call_budgets(monkeypatch, hexn, p3, lens):
+    calls = []
+
+    def counted(pred, *args, **kwargs):
+        def pred_counted(x):
+            calls.append(x.shape)
+            return pred(x)
+        return bracket_search(pred_counted, *args, **kwargs)
+
+    monkeypatch.setattr(sphere, "bracket_search", counted)
+    for norm in (hexn, p3, lens):
+        for theta in (0.3, 2.0, 4.4):
+            x = radial_point(norm, theta)
+            for query, budget in zip((diametral_set, star, bisector_points, is_flat),
+                                     QUERY_CALLS[norm.kind]):
+                calls.clear()
+                query(norm, x)
+                assert len(calls) <= budget, (norm.kind, theta, query.__name__, len(calls))
 
 
 @pytest.mark.parametrize("query", [diametral_set, star, is_flat, bisector_points])

@@ -5,11 +5,14 @@ import pytest
 
 from normgeo import (PolygonNorm, arc_hausdorff, arcset, bisector_points,
                      diametral_set, is_flat, is_isosceles_orthogonal,
-                     maximal_segments, radial_point, self_circumference,
+                     maximal_segments, radial_point, self_circumference, sphere,
                      sphere_distance, sphere_point, star)
+from normgeo.charts import LinearImageNorm
 from normgeo.norms import HEX_VERTICES, PNorm, radial_points_vec, radial_vec
-from normgeo.numerics import bisect_first_true, bisect_root
 from normgeo.sphere import arc_length_map
+
+from conftest import plain_bisection
+from test_convexity import hexagon_image, seeded_matrix
 
 TWO_PI = 2 * math.pi
 
@@ -95,6 +98,20 @@ def test_star_hexagon_edge_interior_is_whole_face(hexn):
     s = star(hexn, sphere_point(hexn, [0.75, 0.5]))
     expected = arcset([(0.0, math.atan2(1.0, 0.5))])
     assert arc_hausdorff(s, expected) < 1e-9
+
+
+def test_star_on_a_face_at_the_seam_is_one_arc(hexn):
+    """The face from angle 0 is one interval, with no sliver left below 2 pi
+    by the star's level offset."""
+    for theta in (0.3, math.pi / 3):
+        s = star(hexn, radial_point(hexn, theta))
+        assert len(s.intervals) == 1 and s.intervals[0][0] == 0.0
+        assert abs(s.intervals[0][1] - math.atan2(1.0, 0.5)) < 1e-9
+    assert arcset([(-1e-12, 1.0)]).intervals == ((0.0, 1.0),)
+    assert arcset([(2.0, TWO_PI + 1e-12)]).intervals == ((2.0, TWO_PI),)
+    # slivers on both sides, or wide pieces on both sides, stay
+    assert len(arcset([(-1e-12, 1e-12)]).intervals) == 2
+    assert len(arcset([(-0.5, 0.5)]).intervals) == 2
 
 
 def test_diametral_equals_negated_star_everywhere(hexn, square, diamond, euclid, p3):
@@ -205,33 +222,87 @@ def test_bisector_pair_is_antipodal_and_balanced(hexn, lens):
             assert np.allclose(pair.point.vec, -pair.antipode.vec, atol=1e-12)
 
 
+def two_row(norm, vecs):
+    """``norm`` of one vector in a two-row batch: the polygon and linear-image
+    gauges round a lone row through BLAS differently from a batch."""
+    return float(norm(np.array([vecs, vecs]))[0])
+
+
+def two_row_radial(norm, theta):
+    return radial_points_vec(norm, [theta, theta])[0]
+
+
+def scalar_sides(fwd_pred, bwd_pred):
+    """Where each side's scalar bisection over ``[0, pi]`` turns True."""
+    return (plain_bisection(fwd_pred, 0.0, math.pi)[1],
+            plain_bisection(bwd_pred, 0.0, math.pi)[1])
+
+
+def scalar_diametral(norm, theta, xv, level):
+    def dist(t):
+        return two_row(norm, xv - two_row_radial(norm, theta + t))
+    fwd, bwd = scalar_sides(lambda t: dist(t) >= level, lambda u: dist(TWO_PI - u) >= level)
+    return arcset([(theta + fwd, theta + TWO_PI - bwd)]).intervals
+
+
 def test_queries_equal_scalar_bisection_bit_for_bit(hexn, p3, lens):
-    """Each side's batched search ends where one scalar bisection per side
-    ends, on norms whose batched and single evaluations agree bit for bit."""
-    for norm in (hexn, p3, lens):
+    """Every search of the sphere queries ends where one scalar bisection per
+    side ends, its values evaluated one midpoint at a time."""
+    hex_image = hexagon_image(seeded_matrix(11)[0])
+    p3_image = LinearImageNorm(p3, seeded_matrix(12)[0])
+    for norm in (hexn, p3, lens, hex_image, p3_image):
         for theta in (0.3, 2.0, 4.4):
             x = radial_point(norm, theta)
             xv = x.vec
+            # the levels, like the queries, from lone rows
+            level = float(norm(xv - radial_points_vec(norm, [theta + math.pi]))[0]) - 1e-12
+            assert diametral_set(norm, x).intervals == scalar_diametral(norm, theta, xv, level)
 
-            def dist(t):
-                return norm(xv - radial_vec(norm, theta + t))
+            mid_level = float(norm(0.5 * (xv + radial_vec(norm, theta)))) - 0.5e-12
 
-            level = dist(math.pi) - 1e-12
-            fwd = bisect_first_true(lambda t: dist(t) >= level, 0.0, math.pi)
-            bwd = bisect_first_true(lambda u: dist(TWO_PI - u) >= level, 0.0, math.pi)
-            expected = arcset([(theta + fwd, theta + TWO_PI - bwd)])
-            assert diametral_set(norm, x).intervals == expected.intervals
+            def mid(t):
+                return two_row(norm, 0.5 * (xv + two_row_radial(norm, theta + t)))
+            fwd, bwd = scalar_sides(lambda t: mid(t) < mid_level,
+                                    lambda u: mid(TWO_PI - u) < mid_level)
+            assert star(norm, x).intervals == arcset([(theta - bwd, theta + fwd)]).intervals
 
             def g(t):
-                s = radial_vec(norm, theta + t)
-                return norm(s - xv) - norm(s + xv)
+                s = two_row_radial(norm, theta + t)
+                return two_row(norm, s - xv) - two_row(norm, s + xv)
 
-            root = bisect_root(g, 1e-9, math.pi - 1e-9)
-            t_lo = bisect_first_true(lambda t: abs(g(t)) <= 1e-10, 0.0, root)
-            t_hi = math.pi - bisect_first_true(lambda u: abs(g(math.pi - u)) <= 1e-10,
-                                               0.0, math.pi - root)
+            lo, hi = plain_bisection(lambda t: g(t) > 0.0, 1e-9, math.pi - 1e-9)
+            root = 0.5 * (lo + hi)
+            t_lo = plain_bisection(lambda t: abs(g(t)) <= 1e-10, 0.0, root)[1]
+            t_hi = math.pi - plain_bisection(lambda u: abs(g(math.pi - u)) <= 1e-10,
+                                             0.0, math.pi - root)[1]
             z = radial_point(norm, theta + 0.5 * (t_lo + t_hi))
             assert bisector_points(norm, x).point == z
+
+            # is_flat: the probes 1e-3 away on each side, then the three
+            # distance-2 sets in one search, their levels from one batch
+            probes = []
+            for sign in (1.0, -1.0):
+                lo, hi = plain_bisection(
+                    lambda t: two_row(norm, xv - two_row_radial(norm, theta + sign * t))
+                    - 1e-3 > 0.0, 0.0, math.pi)
+                probes.append(radial_point(norm, theta + sign * (0.5 * (lo + hi))))
+            points = [x, *probes]
+            xvs = np.array([p.vec for p in points])
+            thetas = np.array([p.theta % TWO_PI for p in points])
+            levels = norm(xvs - radial_points_vec(norm, thetas + math.pi)) - 1e-12
+            expected = [scalar_diametral(norm, t, v, lv)
+                        for t, v, lv in zip(thetas.tolist(), xvs, levels.tolist())]
+            searched = []
+            arcs = sphere._diametral_arcs
+
+            def spy(norm, points):
+                searched.append(points)
+                return arcs(norm, points)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sphere, "_diametral_arcs", spy)
+                is_flat(norm, x)
+            assert searched[0] == points
+            assert [a.intervals for a in arcs(norm, points)] == expected
 
 
 def test_general_bisector_midpoint_symmetry(hexn):
