@@ -18,17 +18,17 @@ faces reach the sum 2 and give exactly 0.
 
 Each partner is the one that 45 lockstep halvings of ``[0, pi]`` find with
 a norm call at every midpoint, but it costs about 14 calls on the first
-grid and as few as 4 in a zoom.  Checked angles bracket it (the chord
-below ``eps`` at ``a``, at least ``eps`` at ``b``) and the secant through
-the bracket estimates it as ``p``.  The halvings are walked by arithmetic
-alone to their last bracket ``lo < p <= hi`` (a cell), and both ends are
-checked in one call.  If the chord is below ``eps`` at ``lo`` and at least
-``eps`` at ``hi``, every earlier midpoint lies at or below ``lo`` or at or
-above ``hi``, so monotonicity decides it as the norm call would, and the
-halvings end on ``hi``.  A failed check tightens the bracket for the next secant; after a
-few cells the plain halvings take over, with a norm call only at the
-midpoints inside the bracket.  So a poor bracket costs calls but never
-changes a partner.
+grid and 4 to 8 in a zoom of a smooth sphere.  Checked angles bracket it
+(the chord below ``eps`` at ``a``, at least ``eps`` at ``b``) and the
+secant through the bracket estimates it as ``p``.  The halvings are walked
+by arithmetic alone to their last bracket ``lo < p <= hi`` (a cell), and
+both ends are checked in one call.  If the chord is below ``eps`` at ``lo``
+and at least ``eps`` at ``hi``, every earlier midpoint lies at or below
+``lo`` or at or above ``hi``, so monotonicity decides it as the norm call
+would, and the halvings end on ``hi``.  A failed check tightens the bracket
+for the next secant; after a few cells the plain halvings take over, with
+a norm call only at the midpoints inside the bracket.  So a poor bracket
+costs calls but never changes a partner.
 
 The chord as computed is monotone only up to rounding, about 2e-15.  So a
 cell decides only where the chord rises across it by more than a bound of
@@ -37,9 +37,7 @@ rounding, and the plain halvings start from angles whose chords clear
 ``eps = 2`` (the antipode), every midpoint is evaluated.
 
 First-grid angles are bracketed by regula falsi steps from ``[0, pi]``,
-and zoom angles by a cubic fit of the first grid's partners; where a
-polygon's chord has a flat side, the secant runs through the other side's
-last two angles.
+and zoom angles by a cubic fit of the first grid's partners.
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ __all__ = ["ModulusCurve", "modulus_of_convexity", "modulus_curve",
 
 # Lockstep halvings of [0, pi]: pi / 2**45 = 8.9e-14 < 1e-13 in angle.
 _HALVINGS = 45
-_CELL = math.pi / 2.0 ** _HALVINGS
 # A sum this close to 2 is a midpoint on the sphere: delta is exactly 0, and
 # the chord scan calls the chord flat.  The margin also keeps a face exactly
 # eps long, whose far vertex the bisection may overshoot by 1e-13 when
@@ -80,18 +77,15 @@ _MIN_RESOLUTION = 64
 # how many norm calls a partner costs, never which partner is found: on l_3
 # images 1.5% of the zoom angles miss their fit (sweep inputs).
 _FIT_SHARE, _FIT_SLACK = 1.0 / 16.0, 16.0 * math.pi / 2.0 ** _HALVINGS
-# A fitted bracket wider than this (2**35 last halvings) straddles a kink of
-# the partners, as on polygons; smooth spheres fit within 1.4e-4 at the
-# default resolution.  A zoom with such a fit runs the plain halvings for every
-# angle at once.
-_WIDE_FIT = 2.0 ** 35 * _CELL
-# Regula falsi steps from [0, pi] for the first-grid angles: 12 bring nearly
-# every partner of the round, l_3 and lens spheres into its last bracket for
-# eps up to 1.9.
+# Regula falsi steps from [0, pi] for the first-grid angles: after 12 the
+# first cell holds the partner of all but at most 9% of the angles of the
+# round, l_3, l_1.5 and lens spheres (1% on average), and of all but 19% on
+# polygons, whose chord has corners and flat sides (sweep eps, seeds 3, 7, 11).
 _FALSI_STEPS = 12
-# Cells tried before the plain halvings: three leave at most 2.5% of the
-# first-grid angles of the smooth spheres open (sweep inputs); polygons leave
-# more at kinks, where the chord has a corner or a flat side.
+# Cells tried before the plain halvings: three leave at most 0.8% of those
+# first-grid angles open on the smooth spheres and 8.6% on polygons.  Up to 9%
+# more, on l_3, hit a cell across which the chord is flat at eps to rounding;
+# they run the plain halvings too.
 _CELL_TRIES = 3
 # Rounding leaves the computed chord within ~2e-15 of a monotone function of
 # t (second differences at three adjacent midpoints, measured on the builtin
@@ -99,11 +93,6 @@ _CELL_TRIES = 3
 # only if it clears eps by more than this bound, and a checked cell only if
 # the chord rises across it by more: else rounding could reorder them.
 _ROUNDING = 2.0 ** -46
-# A chord that changes by no more than rounding between two angles at least
-# 1024 last halvings apart is flat there, as where partners slide along a
-# polygon face: the regula falsi would creep along it, so the other side is
-# extrapolated instead.
-_FLAT_SPAN = 1024 * _CELL
 # The first 16 halvings are looked up in a table of their 2**16 + 1 bracket
 # ends (512 kB); the other 29 are walked.
 _TABLED = 16
@@ -182,25 +171,20 @@ def _cell(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Rows of a bracket array, one column per angle.  For each end, ``a`` (short)
-# and ``b`` (far): the angle, its chord minus eps weighted for the regula
-# falsi, the same unweighted, the end before it and its chord minus eps, and
-# 1 where that side is flat (its chord changed by no more than rounding over
-# at least ``_FLAT_SPAN`` when the end last moved).  Then which end moved last
-# (-1 ``a``, 1 ``b``), and the clear angles: checked angles whose chords fall
-# short of or pass eps by more than ``_ROUNDING``, so that every midpoint of
-# the halvings at or below the first is short and at or above the second
-# far, whatever the rounding.
-_A, _B, _LAST, _C0, _C1 = 0, 6, 12, 13, 14
+# and ``b`` (far): the angle and its chord minus eps, weighted for the regula
+# falsi.  Then which end moved last (-1 ``a``, 1 ``b``), and the clear angles:
+# checked angles whose chords fall short of or pass eps by more than
+# ``_ROUNDING``, so that every midpoint of the halvings at or below the first
+# is short and at or above the second far, whatever the rounding.
+_A, _B, _LAST, _C0, _C1 = 0, 2, 4, 5, 6
 
 
 def _new_brackets(eps: float, n: int) -> np.ndarray:
     """Brackets ``[0, pi]`` for ``n`` angles: the chord is 0 at t = 0 and 2
     at the antipode, up to rounding there."""
-    bracket = np.zeros((15, n))
+    bracket = np.zeros((7, n))
     bracket[[_B, _C1]] = math.pi
-    bracket[_A + 1:_A + 3] = -eps
-    bracket[_B + 1:_B + 3] = 2.0 - eps
-    bracket[[_A + 3, _A + 4, _B + 3, _B + 4]] = np.nan
+    bracket[_A + 1], bracket[_B + 1] = -eps, 2.0 - eps
     return bracket
 
 
@@ -222,37 +206,23 @@ def _tighten(bracket: np.ndarray, t: np.ndarray, f: np.ndarray) -> None:
     far = f >= 0.0
     up, down = ~far & (t > a), far & (t < b)
     for end, move, other, again in ((_A, up, _B, last < 0), (_B, down, _A, last > 0)):
-        at, weight, value, before, value_before, flat = bracket[end:end + 6]
+        at, weight = bracket[end:end + 2]
         with np.errstate(divide="ignore", invalid="ignore"):
             shrink = 1.0 - f / weight
         w = bracket[other + 1]
         np.multiply(w, np.where(shrink > 0.0, shrink, 0.5), out=w, where=move & again)
-        np.copyto(flat, (np.abs(f - value) <= _ROUNDING) & (np.abs(at - t) >= _FLAT_SPAN),
-                  where=move)
-        np.copyto(before, at, where=move)
-        np.copyto(value_before, value, where=move)
         np.copyto(at, t, where=move)
         np.copyto(weight, f, where=move)
-        np.copyto(value, f, where=move)
     last[...] = down
     last -= up
     _clear(bracket, t, f)
 
 
 def _secant(bracket: np.ndarray) -> np.ndarray:
-    """The next estimate: the regula falsi of ``[a, b]``; where one side is
-    flat, the secant through the other side's last two ends if it falls
-    inside ``(a, b)``, else the midpoint."""
-    a, wa, fa, a2, fa2, flat_a = bracket[_A:_A + 6]
-    b, wb, fb, b2, fb2, flat_b = bracket[_B:_B + 6]
+    """The next estimate: the weighted regula falsi of ``[a, b]``."""
+    a, wa, b, wb = bracket[_A:_B + 2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        p = a - wa * (b - a) / (wb - wa)
-        left = a - fa * (a - a2) / (fa - fa2)
-        right = b - fb * (b - b2) / (fb - fb2)
-    flat = (flat_a > 0.0) | (flat_b > 0.0)
-    side = np.where(flat_b > 0.0, left, right)
-    p = np.where(flat, 0.5 * (a + b), p)
-    return np.where(flat & (side > a) & (side < b), side, p)
+        return a - wa * (b - a) / (wb - wa)
 
 
 def _checked_partners(norm: Norm, eps: float, x: np.ndarray, thetas: np.ndarray,
@@ -265,10 +235,8 @@ def _checked_partners(norm: Norm, eps: float, x: np.ndarray, thetas: np.ndarray,
     halvings, checked at both ends in one call; a failed check tightens the
     bracket for the next secant.  The rows still open after ``_CELL_TRIES``
     cells, or where the chord is too flat for a cell to decide, share one run
-    of ``_partners`` from their clear angles.  Where some fit is too loose to
-    try, no cell is tried: the plain halvings run anyway, and the other rows
-    ride along in their norm calls for less than cells cost.  At ``eps = 2``
-    the chord is flat at the antipode, so every midpoint is evaluated.
+    of ``_partners`` from their clear angles.  At ``eps = 2`` the chord is
+    flat at the antipode, so every midpoint is evaluated.
     """
     if eps == 2.0:
         return _partners(norm, eps, x, thetas, sides, 0.0, math.pi)
@@ -287,10 +255,9 @@ def _checked_partners(norm: Norm, eps: float, x: np.ndarray, thetas: np.ndarray,
         for _ in range(_FALSI_STEPS):
             t = _secant(bracket)
             _tighten(bracket, t, f(np.arange(rows.size), t))
-    tries = 0 if a is not None and (b - a > _WIDE_FIT).any() else _CELL_TRIES
     partners = _secant(bracket)
     parked = []
-    for _ in range(tries):
+    for _ in range(_CELL_TRIES):
         cell = np.concatenate(_cell(_secant(bracket)))
         partners[rows] = cell[rows.size:]
         # chords minus eps at both ends; an end at or past a clear angle
@@ -305,15 +272,7 @@ def _checked_partners(norm: Norm, eps: float, x: np.ndarray, thetas: np.ndarray,
         # a cell decides only if the chord rises across it by more than
         # rounding; else the midpoints next to it may round the other way
         flat = np.flatnonzero(hit & ~(f_hi - f_lo > _ROUNDING))
-        held = bracket[:, flat]
-        if flat.size:
-            # probe out from the cell, by its rise, to where the chord clears
-            # rounding, so that the plain halvings start close
-            reach = 4.0 * _CELL * _ROUNDING / np.maximum(f_hi - f_lo, 2.0 ** -16 * _ROUNDING)
-            out = np.concatenate([cell[flat] - reach[flat],
-                                  cell[flat + rows.size] + reach[flat]]).clip(0.0, math.pi)
-            _clear(held, out, f(np.concatenate([flat, flat]), out))
-        parked.append((rows[flat], held[[_C0, _C1]]))
+        parked.append((rows[flat], bracket[[_C0, _C1]][:, flat]))
         # a far lo or else a short hi tightens the bracket
         miss = ~hit
         probe = np.where(f_lo >= 0.0, 0, rows.size) + np.arange(rows.size)

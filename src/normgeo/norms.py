@@ -202,6 +202,22 @@ class EuclideanNorm(Norm):
         return {"scale": self.scale, "dim": self.dim}
 
 
+# Vertex coordinates whose largest magnitude lies within 2^-500 .. 2^500 give
+# face supports and edge cross products (sums of products of two coordinate
+# differences, ~ magnitude squared) that neither overflow nor fall into
+# subnormals, so the face functionals ``normal / support`` are finite and
+# nonzero.
+_POLYGON_RANGE = 2.0 ** 500
+# Opposite vertices must cancel to this share of the largest coordinate:
+# room for vertices written in decimal or carried by a matrix.  The gauge takes
+# absolute values, so it is exactly symmetric whatever gap passes.
+_VERTEX_PAIRING = 1e-9
+# Three vertices in a row turn strictly left when the cross product of their
+# edges exceeds this share of the largest coordinate squared; a smaller turn
+# is a collinear vertex carrying rounding.
+_TURN_SLACK = 1e-12
+
+
 def _polygon_issues(vertices: Sequence[Sequence[float]]) -> list[str]:
     """Structural problems of a polygon vertex list, in plain words."""
     issues: list[str] = []
@@ -216,11 +232,15 @@ def _polygon_issues(vertices: Sequence[Sequence[float]]) -> list[str]:
         return issues
     if n % 2 != 0:
         issues.append(f"vertex count must be even for central symmetry, got {n}")
-    scale = np.abs(verts).max()
+    scale = float(np.abs(verts).max())
+    if not 1.0 / _POLYGON_RANGE <= scale <= _POLYGON_RANGE:
+        issues.append("vertices have coordinates too large or too small to give "
+                      f"finite, nonzero face functionals (largest magnitude {scale:.3g})")
+        return issues
     if n % 2 == 0:
         half = n // 2
         gap = np.abs(verts[half:] + verts[:half]).max()
-        if gap > 1e-9 * max(scale, 1.0):
+        if gap > _VERTEX_PAIRING * scale:
             issues.append(f"vertex list is not centrally symmetric (max gap {gap:.2e})")
     area2 = 0.0
     for i in range(n):
@@ -234,7 +254,7 @@ def _polygon_issues(vertices: Sequence[Sequence[float]]) -> list[str]:
         b = verts[(i + 1) % n]
         c = verts[(i + 2) % n]
         cross = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
-        if cross <= 1e-12 * max(scale * scale, 1.0):
+        if cross <= _TURN_SLACK * scale * scale:
             issues.append(
                 f"vertices {i}, {i + 1}, {i + 2} are collinear or reflex "
                 "(polygon must be strictly convex)")
@@ -354,6 +374,12 @@ def _ellipse_gauges(batch: np.ndarray, coefficients: tuple[float, ...]
 # matrix and offset of moderate size the quadratic form of such a vector
 # neither overflows (~1e154) nor falls into subnormals (~1e-154).
 _LENS_RANGE = 2.0 ** 100
+# The shape matrix is symmetric when ``M - M^T`` is within this share of its
+# largest entry (absolute below 1): rounding of a matrix written in decimal.
+_SHAPE_SYMMETRY = 1e-12
+# Lens corners are bisected to this angle, ten times finer than the angular
+# resolution of the sphere searches (``DEFAULT_TOLS.angle``) that stop at them.
+_CORNER_XTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -381,13 +407,16 @@ class LensNorm(Norm):
             raise ValueError(f"shape matrix must be finite, got {shape}")
         if not all(map(math.isfinite, offset)):
             raise ValueError(f"offset must be finite, got {offset}")
-        if np.abs(m - m.T).max() > 1e-12 * max(1.0, np.abs(m).max()):
+        if np.abs(m - m.T).max() > _SHAPE_SYMMETRY * max(1.0, np.abs(m).max()):
             raise ValueError("shape matrix must be symmetric")
         eigs = np.linalg.eigvalsh(m)
         if eigs.min() <= 0:
             raise ValueError("shape matrix must be positive definite")
-        if float(c @ m @ c) >= 1.0:
-            raise ValueError("the origin must lie strictly inside both ellipses")
+        with np.errstate(over="ignore", invalid="ignore"):
+            inside = float(c @ m @ c)
+        if not inside < 1.0:  # also an overflowed form
+            raise ValueError("the origin must lie strictly inside both ellipses: "
+                             f"offset {offset} gives c^T M c = {inside:.3g}, not below 1")
         object.__setattr__(self, "_coefficients", _ellipse_coefficients(m, c))
         object.__setattr__(self, "_corners", self._find_corners())
 
@@ -425,7 +454,7 @@ class LensNorm(Norm):
             d = diff(t.ravel()).reshape(t.shape)
             return (d <= 0.0) != rising, np.where(rising, d, -d)
 
-        lo, hi, converged = bracket_search(crossed, lo, hi, xtol=1e-14)
+        lo, hi, converged = bracket_search(crossed, lo, hi, xtol=_CORNER_XTOL)
         require_converged(converged, lo, hi, f"corner search on the {self.kind} sphere")
         roots = (0.5 * (lo + hi)) % TWO_PI
         return tuple(sorted(grid[vals == 0.0].tolist() + roots.tolist()))
@@ -435,6 +464,12 @@ class LensNorm(Norm):
 
     def payload(self):
         return {"shape": [list(r) for r in self.shape], "offset": list(self.offset)}
+
+
+# Flipping a coordinate of a sample of order-1 vectors moves an absolute
+# profile's value by rounding only (~1e-16), and any other profile's by far
+# more than this.
+_PROFILE_FLIP = 1e-10
 
 
 @dataclass(frozen=True)
@@ -458,7 +493,7 @@ class RevolutionNorm(Norm):
         base = self.profile(sample)
         for flip in ((-1.0, 1.0), (1.0, -1.0)):
             gap = np.abs(self.profile(sample * np.asarray(flip)) - base).max()
-            if gap > 1e-10:
+            if gap > _PROFILE_FLIP:
                 raise ValueError(
                     "revolution profile must be absolute in each coordinate "
                     f"(asymmetry {gap:.2e})")
@@ -469,6 +504,18 @@ class RevolutionNorm(Norm):
 
     def payload(self):
         return {"profile": self.profile.to_json()}
+
+
+# Table angles pair as theta, theta + pi to this: room for angles written in
+# decimal.
+_ANGLE_PAIRING = 1e-9
+# A radius repeats after pi to this share of the largest radius: rounding of a
+# closed form evaluated at theta and theta + pi.
+_RADIUS_PERIOD = 1e-10
+# The turn (cross product) of consecutive sampled sphere edges may fall below
+# 0 by this share of the mean turn: along a flat face it is rounding of either
+# sign.
+_TURN_SHARE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -492,7 +539,7 @@ class RadialGaugeNorm(Norm):
             grid = np.asarray(self.table[0], dtype=float)
             half = len(grid) // 2
             if len(grid) < 8 or len(grid) % 2 != 0 or np.abs(
-                    grid[half:] - math.pi - grid[:half]).max() > 1e-9:
+                    grid[half:] - math.pi - grid[:half]).max() > _ANGLE_PAIRING:
                 raise ValueError(
                     "radial table needs matched angle pairs theta, theta + pi")
         else:
@@ -501,8 +548,13 @@ class RadialGaugeNorm(Norm):
         r = self._radius_many(grid)
         if not np.all(np.isfinite(r)) or r.min() <= 0.0:
             raise ValueError("radial function must be finite and positive")
+        with np.errstate(over="ignore"):
+            reciprocal = 1.0 / r.min()
+        if not math.isfinite(reciprocal):  # the gauge is |v| / r
+            raise ValueError("values must have finite reciprocals, "
+                             f"got a smallest radius of {r.min():.3g}")
         anti = np.abs(r[half:] - r[:half]).max()
-        if anti > 1e-10 * r.max():
+        if anti > _RADIUS_PERIOD * r.max():
             raise ValueError(f"radial function must have period pi (gap {anti:.2e})")
         with np.errstate(over="ignore", invalid="ignore"):
             pts = r[:, None] * np.column_stack([np.cos(grid), np.sin(grid)])
@@ -512,7 +564,7 @@ class RadialGaugeNorm(Norm):
         if not np.all(np.isfinite(cross)):
             raise ValueError("values must keep the sphere's edge cross products "
                              f"finite, got a largest radius of {r.max():.3g}")
-        if cross.min() < -1e-6 * np.abs(cross).mean():
+        if cross.min() < -_TURN_SHARE * np.abs(cross).mean():
             raise ValueError("radial function does not bound a convex region")
 
     def _radius_many(self, thetas: np.ndarray) -> np.ndarray:
@@ -637,6 +689,9 @@ class NormValidationReport:
 # Sampled axiom violations up to this count as rounding: the samples have
 # norms of order 1 (the homogeneity gap is relative), rounded to ~1e-15.
 _AXIOM_SLACK = 1e-10
+# Floor of the homogeneity gap's denominator: a broken norm that gives 0 at
+# a nonzero sample reads a huge gap instead of dividing by zero.
+_HOMOGENEITY_FLOOR = 1e-300
 
 
 def validate_norm(norm: Norm, sample_count: int = 1000, *,
@@ -651,7 +706,7 @@ def validate_norm(norm: Norm, sample_count: int = 1000, *,
     triangle = float(np.max(norm(u + v) - nu - nv))
     lam = np.exp(rng.uniform(-3.0, 3.0, size=sample_count))
     scaled = norm(u * lam[:, None])
-    homog = float(np.max(np.abs(scaled - lam * nu) / np.maximum(lam * nu, 1e-300)))
+    homog = float(np.max(np.abs(scaled - lam * nu) / np.maximum(lam * nu, _HOMOGENEITY_FLOOR)))
     symmetry = float(np.max(np.abs(norm(-u) - nu)))
     issues: tuple[str, ...] = ()
     if isinstance(norm, PolygonNorm):

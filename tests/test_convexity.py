@@ -384,6 +384,27 @@ def test_secant_cells_take_few_chords(p3, chord_rows):
     assert sum(chord_rows) < 15 * thetas.size
 
 
+@pytest.mark.parametrize("name, eps, first_bound, zoom_bound", [
+    ("hexagonal", 1.1, 15, 9),    # 14.3 per first-grid angle, 8.0 per zoom angle
+    ("hexagonal", 1.5, 17, 30),   # 15.9, 28.2: zoom angles at a kink halve plainly
+    ("hex-image", 1.1, 15, 9),    # 14.2, 8.0
+    ("hex-image", 1.9, 17, 31),   # 16.2, 29.6
+    ("lens", 1.1, 15, 7),         # 14.0, 6.0
+    ("lens", 1.9, 15, 9),         # 14.4, 8.2; 39 if every zoom angle halves plainly
+])
+def test_polygon_and_lens_partners_take_few_chords(name, eps, first_bound, zoom_bound,
+                                                   chord_rows):
+    norm = BRACKET_SUBJECTS[name]
+    thetas, sides = first_grid(512)
+    convexity._checked_partners(norm, eps, radial_points_vec(norm, thetas), thetas, sides)
+    first = sum(chord_rows)
+    assert first < first_bound * thetas.size
+    chord_rows.clear()
+    convexity._best_sum(norm, eps, 512)
+    zoom_angles = convexity._ZOOMS * convexity._CANDIDATES * convexity._ZOOM_POINTS
+    assert sum(chord_rows) - first < zoom_bound * zoom_angles
+
+
 @pytest.mark.parametrize("estimate", ["cell low", "cell high", "nan", "at a", "at b"])
 @pytest.mark.parametrize("bracketed", [True, False])
 def test_missed_cells_keep_the_lockstep_partners(p3, monkeypatch, estimate, bracketed):

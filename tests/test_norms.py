@@ -206,6 +206,24 @@ def test_polygon_construction_errors():
             PolygonNorm(((bad, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)))
 
 
+@pytest.mark.parametrize("scale", [1e-310, 1e308])
+def test_polygon_at_an_extreme_scale_names_its_coordinates(scale):
+    # the face functionals normal / support would be infinite or 0; the
+    # orientation and turn checks would misread the diamond as degenerate
+    diamond = ((scale, 0.0), (0.0, scale), (-scale, 0.0), (0.0, -scale))
+    with pytest.raises(ValueError, match="vertices have coordinates too large or too small"):
+        PolygonNorm(diamond)
+
+
+def test_small_polygons_keep_their_turns():
+    # the turn and symmetry checks are relative to the largest coordinate
+    for scale in (1e-7, 1e-140, 1e140):
+        diamond = PolygonNorm(((scale, 0.0), (0.0, scale), (-scale, 0.0), (0.0, -scale)))
+        assert diamond([scale, scale]) == pytest.approx(2.0, rel=1e-15)
+    with pytest.raises(ValueError, match="symmetric"):
+        PolygonNorm(((1e-10, 0.0), (0.0, 1e-10), (-1e-10, 0.0), (2e-11, -1e-10)))
+
+
 def test_lens_is_normalized_with_two_corners(lens):
     assert lens([1.0, 0.0]) == pytest.approx(1.0, abs=1e-15)
     assert lens([0.0, 1.0]) == pytest.approx(1.0, abs=1e-15)
@@ -288,6 +306,9 @@ def test_lens_rejects_bad_shapes():
             LensNorm(offset=(bad, 0.0))
         with pytest.raises(ValueError, match="shape"):
             LensNorm(shape=((bad, 0.0), (0.0, 1.0)))
+    # c^T M c overflows: named, with no overflow warning
+    with pytest.raises(ValueError, match=r"offset \(1e\+308, 0.0\) gives c\^T M c = inf"):
+        LensNorm(offset=(1e308, 0.0))
     for short in ((1.0,), (1.0, 0.0, 0.0), "ab"):
         with pytest.raises(ValueError, match="offset must be numbers of shape"):
             LensNorm(offset=short)
@@ -310,6 +331,16 @@ def test_radial_gauge_rejects_nonconvex_and_asymmetric():
         RadialGaugeNorm(lambda t: 1.0 + 0.5 * np.cos(4 * t))
     with pytest.raises(ValueError, match="period"):
         RadialGaugeNorm(lambda t: 1.0 + 0.2 * np.cos(t))
+
+
+def test_radial_gauge_rejects_radii_without_a_finite_reciprocal():
+    # |v| / r would overflow to inf for every unit vector
+    angles = [k * math.pi / 4.0 for k in range(8)]
+    with pytest.raises(ValueError, match="values must have finite reciprocals"):
+        RadialGaugeNorm.from_table(angles, [1e-320] * 8)
+    with pytest.raises(ValueError, match="values must have finite reciprocals"):
+        RadialGaugeNorm(lambda t: np.full_like(t, 1e-320))
+    assert RadialGaugeNorm.from_table(angles, [1e-300] * 8)([1e-300, 0.0]) == 1.0
 
 
 @pytest.mark.parametrize("make", [

@@ -230,6 +230,25 @@ def test_cli_names_the_bad_field(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def diamond_spec(scale):
+    return {"kind": "polygon",
+            "vertices": [[scale, 0.0], [0.0, scale], [-scale, 0.0], [0.0, -scale]]}
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "radial", "angles": [k * math.pi / 4 for k in range(8)], "values": [1e-320] * 8},
+     "values must have finite reciprocals"),
+    ({"kind": "lens", "offset": [1e308, 0.0]}, "offset (1e+308, 0.0) gives c^T M c = inf"),
+    (diamond_spec(1e-310), "vertices have coordinates too large or too small"),
+    (diamond_spec(1e308), "vertices have coordinates too large or too small"),
+])
+def test_cli_rejects_norms_at_the_ends_of_the_float_range(spec, message, tmp_path, capsys):
+    path = tmp_path / "norm.json"
+    path.write_text(json.dumps(spec))
+    assert main(["dset", "--norm", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_norm_json_round_trip_precision(tmp_path, capsys):
     # decimal round-trip through a file: evaluations agree to full precision
     spec = tmp_path / "lens.json"
