@@ -16,7 +16,7 @@ import numpy as np
 from .config import DEFAULT_TOLS
 from .norms import Norm, SpherePoint, _float_array, _integer, radial_points_vec
 from .sphere import ArcSet
-from .numerics import TWO_PI, bracket_search, require_converged
+from .numerics import TWO_PI, bracket_search
 
 __all__ = [
     "CoordinateChart", "LinearImageNorm", "SphereMapSample", "LinearityReport",
@@ -530,6 +530,4 @@ def base_leftmost_crossing(norm, point) -> float:
         ft = f(t)
         return ft <= 0.0, -ft
 
-    lo, hi, converged = bracket_search(inside, [lo], [pv[0]], xtol=DEFAULT_TOLS.angle)
-    require_converged(converged, lo, hi, f"base-line search on the {norm.kind} sphere")
-    return float(hi[0])
+    return float(bracket_search(inside, [lo], [pv[0]], xtol=DEFAULT_TOLS.angle)[1][0])

@@ -17,8 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .norms import Norm, _number, radial_points_vec
-from .numerics import (TWO_PI, bracket_search, fit_quadratic, loglog_slope,
-                       require_converged)
+from .numerics import TWO_PI, bracket_search, fit_quadratic, loglog_slope
 
 __all__ = [
     "ClosedCurve", "CurvatureEstimate", "TwoPointConditionError",
@@ -126,9 +125,7 @@ def _points_at_distances(ambient: Norm, curve: ClosedCurve, t0: float, deltas):
 
     # each crossing between the grid nodes whose signs differ
     ends = np.append(ts, ts[0] + curve.period)
-    lo, hi, converged = bracket_search(crossed, ends[crossings], ends[crossings + 1],
-                                       xtol=0.0)
-    require_converged(converged, lo, hi, f"two-point search in the {ambient.kind} norm")
+    lo, hi = bracket_search(crossed, ends[crossings], ends[crossings + 1], xtol=0.0)
     points = curve.points(0.5 * (lo + hi))
     return x, points[0::2], points[1::2]
 

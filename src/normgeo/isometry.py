@@ -36,7 +36,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .config import DEFAULT_TOLS
 from .charts import SphereMapSample
 from .norms import Norm, RevolutionNorm, hexagonal_norm
-from .numerics import golden_max, require_converged
+from .numerics import golden_max
 from .sphere import arc_length_map
 
 __all__ = [
@@ -273,8 +273,11 @@ def _profile_zeros(fp_x: ChordFingerprint, fp_y: ChordFingerprint,
     # the mismatch is V-shaped around each zero
     offsets, values, converged = golden_max(neg_row_mismatch,
                                             centres - step, centres + step)
-    require_converged(converged, centres - step, centres + step,
-                      f"offset refinement on the {norm.kind} sphere")
+    if not converged.all():
+        k = int(np.argmin(converged))
+        raise RuntimeError(f"offset refinement on the {norm.kind} sphere hit its "
+                           f"iteration cap in bracket [{float(centres[k] - step)!r}, "
+                           f"{float(centres[k] + step)!r}]")
     wrapped = (float(offset) % circ for offset in offsets[-values <= tol])
     merged: list[float] = []
     # an offset refined to just under a full turn is offset 0

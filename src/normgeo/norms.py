@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .numerics import TWO_PI, bracket_search, require_converged
+from .numerics import TWO_PI, bracket_search
 
 __all__ = [
     "Norm", "PNorm", "EuclideanNorm", "PolygonNorm", "HexagonalNorm",
@@ -181,6 +181,11 @@ class PNorm(Norm):
         return {"p": "inf" if math.isinf(self.p) else self.p, "dim": self.dim}
 
 
+# The least Euclidean scale: a subnormal one carries few bits, and below
+# ~5.6e-309 its reciprocal, the sphere's radius, overflows.
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
+
+
 @dataclass(frozen=True)
 class EuclideanNorm(Norm):
     """``scale * ||v||_2``; scale 1 is the plain Euclidean norm."""
@@ -190,8 +195,9 @@ class EuclideanNorm(Norm):
     kind = "euclidean"
 
     def __post_init__(self):
-        if not (0.0 < self.scale < math.inf):
-            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+        if not (_SMALLEST_NORMAL <= self.scale < math.inf):
+            raise ValueError(f"scale must be finite and at least {_SMALLEST_NORMAL!r} "
+                             f"(a normal float), got {self.scale!r}")
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
 
@@ -407,7 +413,8 @@ class LensNorm(Norm):
             raise ValueError(f"shape matrix must be finite, got {shape}")
         if not all(map(math.isfinite, offset)):
             raise ValueError(f"offset must be finite, got {offset}")
-        if np.abs(m - m.T).max() > _SHAPE_SYMMETRY * max(1.0, np.abs(m).max()):
+        unit = m / max(1.0, np.abs(m).max())  # so that ``unit - unit.T`` cannot overflow
+        if np.abs(unit - unit.T).max() > _SHAPE_SYMMETRY:
             raise ValueError("shape matrix must be symmetric")
         eigs = np.linalg.eigvalsh(m)
         if eigs.min() <= 0:
@@ -454,8 +461,7 @@ class LensNorm(Norm):
             d = diff(t.ravel()).reshape(t.shape)
             return (d <= 0.0) != rising, np.where(rising, d, -d)
 
-        lo, hi, converged = bracket_search(crossed, lo, hi, xtol=_CORNER_XTOL)
-        require_converged(converged, lo, hi, f"corner search on the {self.kind} sphere")
+        lo, hi = bracket_search(crossed, lo, hi, xtol=_CORNER_XTOL)
         roots = (0.5 * (lo + hi)) % TWO_PI
         return tuple(sorted(grid[vals == 0.0].tolist() + roots.tolist()))
 
@@ -686,28 +692,32 @@ class NormValidationReport:
         }
 
 
-# Sampled axiom violations up to this count as rounding: the samples have
-# norms of order 1 (the homogeneity gap is relative), rounded to ~1e-15.
+# Sampled axiom violations, relative to the norm values they compare, up to
+# this count as rounding (~1e-15 per value).
 _AXIOM_SLACK = 1e-10
-# Floor of the homogeneity gap's denominator: a broken norm that gives 0 at
-# a nonzero sample reads a huge gap instead of dividing by zero.
-_HOMOGENEITY_FLOOR = 1e-300
+# Floor of the gaps' denominators: a broken norm that gives 0 at a nonzero
+# sample reads a huge gap instead of dividing by zero.
+_GAP_FLOOR = 1e-300
 
 
 def validate_norm(norm: Norm, sample_count: int = 1000, *,
                   seed: int = 0) -> NormValidationReport:
-    """Check the norm axioms on pseudo-random samples; reports, never raises."""
+    """Check the norm axioms on pseudo-random samples; reports, never raises.
+
+    Each reported gap is relative: the triangle excess over ``||u|| + ||v||``,
+    the homogeneity and symmetry gaps over the value they should equal.
+    """
     if sample_count < 3:
         raise ValueError("sample_count must be at least 3")
     rng = np.random.default_rng(seed)
     u = rng.normal(size=(sample_count, norm.dim))
     v = rng.normal(size=(sample_count, norm.dim))
     nu, nv = norm(u), norm(v)
-    triangle = float(np.max(norm(u + v) - nu - nv))
+    triangle = float(np.max((norm(u + v) - nu - nv) / np.maximum(nu + nv, _GAP_FLOOR)))
     lam = np.exp(rng.uniform(-3.0, 3.0, size=sample_count))
     scaled = norm(u * lam[:, None])
-    homog = float(np.max(np.abs(scaled - lam * nu) / np.maximum(lam * nu, _HOMOGENEITY_FLOOR)))
-    symmetry = float(np.max(np.abs(norm(-u) - nu)))
+    homog = float(np.max(np.abs(scaled - lam * nu) / np.maximum(lam * nu, _GAP_FLOOR)))
+    symmetry = float(np.max(np.abs(norm(-u) - nu) / np.maximum(nu, _GAP_FLOOR)))
     issues: tuple[str, ...] = ()
     if isinstance(norm, PolygonNorm):
         issues = tuple(norm.structural_issues())

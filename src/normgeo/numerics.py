@@ -25,17 +25,19 @@ _FLAT_RATIO = 8.0
 # Midpoints per spine.  From [0, pi], 45 levels reach 1e-13 and 54 reach
 # adjacent floats near pi / 2; a longer way takes another call.
 _SPINE_LEVELS = 64
+# Bracket ends stay below this in magnitude, so that no width ``hi - lo``
+# and no midpoint sum ``lo + hi`` overflows.
+_END_LIMIT = 2.0 ** 1023
 
 
 def _closed(lo, hi, xtol):
-    """Where bisection stops, for floats or arrays; a NaN bracket stays open."""
+    """Where bisection stops, for floats or arrays."""
     mid = 0.5 * (lo + hi)
     return (hi - lo <= xtol) | (mid == lo) | (mid == hi)
 
 
 def bracket_search(pred: Callable[[np.ndarray], np.ndarray | tuple], lo, hi, *,
-                   xtol: float = DEFAULT_TOLS.angle, max_iter: int = 200
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                   xtol: float = DEFAULT_TOLS.angle) -> tuple[np.ndarray, np.ndarray]:
     """Boundaries of monotone predicates, bracket-wise.
 
     ``lo`` and ``hi`` are 1D arrays of bracket ends; ``pred`` maps an
@@ -71,17 +73,28 @@ def bracket_search(pred: Callable[[np.ndarray], np.ndarray | tuple], lo, hi, *,
     A distance-2 set or a star takes 5 to 7 calls (10 from plain grids), a
     bisector root 3 (9), and curvature's crossings 5 (24).
 
-    Returns ``(lo, hi, converged)``, where ``converged`` is False for the
-    brackets still open after ``max_iter`` calls.
+    There is no step cap: every call halves each open bracket at least
+    once, and a float bracket reaches adjacent floats within about 2,100
+    halvings, so every search ends.  Ends must be finite and of magnitude
+    below ``2**1023``, where no width or midpoint sum overflows; a NaN or
+    infinite end, or a larger one, raises ``ValueError`` naming the first
+    such bracket.
+
+    Returns the closed brackets ``(lo, hi)``.
     """
     lo = np.array(lo, dtype=float, ndmin=1)
     hi = np.array(hi, dtype=float, ndmin=1)
+    finite = (np.abs(lo) < _END_LIMIT) & (np.abs(hi) < _END_LIMIT)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"bracket [{float(lo[k])!r}, {float(hi[k])!r}] needs finite "
+                         f"ends of magnitude below 2**1023")
     cells = 1 << max(1, (_GRID_BUDGET // max(lo.size, 1) + 1).bit_length() - 1)
     if cells == 2:
-        lo, hi = _vector_search(pred, lo, hi, xtol, max_iter)
-    elif lo.size:
-        lo, hi = _grid_search(pred, lo.tolist(), hi.tolist(), cells, xtol, max_iter)
-    return lo, hi, _closed(lo, hi, xtol)
+        return _vector_search(pred, lo, hi, xtol)
+    if lo.size:
+        return _grid_search(pred, lo.tolist(), hi.tolist(), cells, xtol)
+    return lo, hi
 
 
 def _outcome(out) -> tuple[np.ndarray, np.ndarray | None]:
@@ -97,12 +110,12 @@ def _false_at_hi(lo, hi, k: int) -> ValueError:
                       f"[{float(lo[k])!r}, {float(hi[k])!r}]")
 
 
-def _vector_search(pred, lo: np.ndarray, hi: np.ndarray, xtol: float, max_iter: int):
+def _vector_search(pred, lo: np.ndarray, hi: np.ndarray, xtol: float):
     """Many brackets: one midpoint each per call, a vectorised bisection."""
-    for step in range(max_iter):
+    for step in itertools.count():
         split = ~_closed(lo, hi, xtol)
         if step and not split.any():
-            break
+            return lo, hi
         mid = 0.5 * (lo + hi)
         if step:
             truth = _outcome(pred(mid[:, None]))[0][:, 0]
@@ -114,7 +127,6 @@ def _vector_search(pred, lo: np.ndarray, hi: np.ndarray, xtol: float, max_iter: 
             split &= ~ends[:, 0]
             truth = ends[:, 1]
         lo, hi = np.where(split & ~truth, mid, lo), np.where(split & truth, mid, hi)
-    return lo, hi
 
 
 @functools.lru_cache(maxsize=None)
@@ -184,7 +196,7 @@ def _estimate(lo, vlo, hi, vhi, lo2, vlo2, hi2, vhi2):
     return r if lo <= r <= hi else None
 
 
-def _grid_search(pred, lo: list, hi: list, cells: int, xtol: float, max_iter: int):
+def _grid_search(pred, lo: list, hi: list, cells: int, xtol: float):
     """Fewer than 22 brackets: grids, spines and walks in Python floats.
 
     A row holds the grid, ends included, then the spine, which starts in
@@ -196,9 +208,9 @@ def _grid_search(pred, lo: list, hi: list, cells: int, xtol: float, max_iter: in
     base = cells + 1
     beyond = [(None, math.nan, None, math.nan)] * n  # lo2, its value, hi2, its value
     guess = [None] * n
-    for step in range(max_iter):
+    for step in itertools.count():
         if step and all(_closed(a, b, xtol) for a, b in zip(lo, hi)):
-            break
+            return np.array(lo), np.array(hi)
         rows, spines = [], []
         for a, b, r in zip(lo, hi, guess):
             row = _grid_nodes(a, b, cells)
@@ -266,22 +278,10 @@ def _grid_search(pred, lo: list, hi: list, cells: int, xtol: float, max_iter: in
                 beyond[i] = far = ((row[pa], v(pa)) if pa >= 0 else far[:2]) + (
                     (row[pb], v(pb)) if pb >= 0 else far[2:])
                 guess[i] = _estimate(x, v(ia), y, v(ib), *far)
-    return np.array(lo), np.array(hi)
-
-
-def require_converged(converged: np.ndarray, lo, hi, search: str) -> None:
-    """Raise ``RuntimeError`` naming ``search`` and its first open bracket."""
-    if not np.all(converged):
-        k = int(np.argmin(converged))
-        raise RuntimeError(f"{search} hit its iteration cap in bracket "
-                           f"[{float(lo[k])!r}, {float(hi[k])!r}]")
 
 
 # The three scalar bisections below wrap `bracket_search` for a scalar
 # function; the package itself calls `bracket_search` on arrays.
-
-# a float bracket closes within ~2,100 halvings, and each step halves once at least
-_TIGHT_STEPS = 2200
 
 
 def _elementwise(pred: Callable[[float], bool]):
@@ -290,16 +290,13 @@ def _elementwise(pred: Callable[[float], bool]):
     return batched
 
 
-def _scalar_search(pred, lo: float, hi: float, xtol: float,
-                   max_iter: int) -> tuple[float, float]:
-    a, b, converged = bracket_search(_elementwise(pred), [lo], [hi],
-                                     xtol=xtol, max_iter=max_iter)
-    require_converged(converged, a, b, "scalar bisection")
+def _scalar_search(pred, lo: float, hi: float, xtol: float) -> tuple[float, float]:
+    a, b = bracket_search(_elementwise(pred), [lo], [hi], xtol=xtol)
     return float(a[0]), float(b[0])
 
 
 def bisect_root(f: Callable[[float], float], lo: float, hi: float,
-                *, xtol: float = DEFAULT_TOLS.angle, max_iter: int = 200) -> float:
+                *, xtol: float = DEFAULT_TOLS.angle) -> float:
     """Root of ``f`` on ``[lo, hi]``; the endpoint signs must differ.
 
     Works for nonincreasing and nondecreasing ``f`` alike.
@@ -313,7 +310,7 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float,
     if (flo < 0.0) == (fhi < 0.0):
         raise ValueError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
     rising = flo < 0.0
-    a, b = _scalar_search(lambda t: (f(t) <= 0.0) != rising, lo, hi, xtol, max_iter)
+    a, b = _scalar_search(lambda t: (f(t) <= 0.0) != rising, lo, hi, xtol)
     return 0.5 * (a + b)
 
 
@@ -323,15 +320,14 @@ def bisect_root_tight(f: Callable[[float], float], lo: float, hi: float) -> floa
     if flo == 0.0:
         return lo
     rising = flo < 0.0
-    a, b = _scalar_search(lambda t: (f(t) <= 0.0) != rising, lo, hi, 0.0, _TIGHT_STEPS)
+    a, b = _scalar_search(lambda t: (f(t) <= 0.0) != rising, lo, hi, 0.0)
     return 0.5 * (a + b)
 
 
 def bisect_first_true(pred: Callable[[float], bool], lo: float, hi: float,
-                      *, xtol: float = DEFAULT_TOLS.angle,
-                      max_iter: int = 200) -> float:
+                      *, xtol: float = DEFAULT_TOLS.angle) -> float:
     """Boundary of a monotone predicate (False on ``lo`` side, True at ``hi``)."""
-    return _scalar_search(pred, lo, hi, xtol, max_iter)[1]
+    return _scalar_search(pred, lo, hi, xtol)[1]
 
 
 # Golden steps before the first V step.  With three, an exact V closes in six

@@ -16,7 +16,7 @@ import numpy as np
 from .config import DEFAULT_TOLS
 from .norms import (Norm, PolygonNorm, SpherePoint, radial_point,
                     radial_points_vec, radial_vec, sphere_point)
-from .numerics import TWO_PI, bracket_search, require_converged
+from .numerics import TWO_PI, bracket_search
 
 __all__ = [
     "ArcSet", "SphereSegment", "BisectorPair", "arcset", "arc_hausdorff",
@@ -158,9 +158,9 @@ def _theta_of(p: SpherePoint) -> float:
     return math.atan2(p.v[1], p.v[0]) % TWO_PI
 
 
-def _both_sides(norm: Norm, alphas: np.ndarray, search: str, pred) -> np.ndarray:
-    """One ``bracket_search`` for the first angle ``t`` in ``[0, pi]``, on
-    each side of each start angle, at which ``pred`` holds.
+def _both_sides(alphas: np.ndarray, pred, xtol: float = DEFAULT_TOLS.angle) -> np.ndarray:
+    """One ``bracket_search``, to ``xtol``, for the first angle ``t`` in
+    ``[0, pi]``, on each side of each start angle, at which ``pred`` holds.
 
     Row ``2i`` looks forward from ``alphas[i]`` and row ``2i + 1`` backward:
     ``pred`` gets the sphere angles ``alpha + t`` or ``alpha + (2pi - t)``
@@ -171,15 +171,13 @@ def _both_sides(norm: Norm, alphas: np.ndarray, search: str, pred) -> np.ndarray
     start = np.repeat(alphas, 2)[:, None]
     back = np.tile([False, True], len(alphas))[:, None]
     zeros = np.zeros(2 * len(alphas))
-    t_lo, t, converged = bracket_search(
-        lambda t: pred(start + np.where(back, TWO_PI - t, t)),
-        zeros, zeros + math.pi, xtol=DEFAULT_TOLS.angle)
-    require_converged(converged, t_lo, t, f"{search} on the {norm.kind} sphere")
-    return t
+    return bracket_search(lambda t: pred(start + np.where(back, TWO_PI - t, t)),
+                          zeros, zeros + math.pi, xtol=xtol)[1]
 
 
-def _diametral_arcs(norm: Norm, points) -> list[ArcSet]:
-    """Distance-2 sets of several sphere points: both sides of all in one search."""
+def _diametral_arcs(norm: Norm, points, xtol: float = DEFAULT_TOLS.angle) -> list[ArcSet]:
+    """Distance-2 sets of several sphere points: both sides of all in one
+    search, to ``xtol`` in angle."""
     xvs = np.array([p.vec for p in points])
     alphas = np.array([_theta_of(p) for p in points])
     # anchor the level at the attained maximum so near-sphere inputs stay safe
@@ -192,7 +190,7 @@ def _diametral_arcs(norm: Norm, points) -> list[ArcSet]:
         gap = norm((row_xvs - pts).reshape(-1, 2)).reshape(theta.shape) - row_levels
         return gap >= 0.0, gap
 
-    t = _both_sides(norm, alphas, "distance-2 search", reached).tolist()
+    t = _both_sides(alphas, reached, xtol).tolist()
     return [arcset([(alpha + t_fwd, alpha + TWO_PI - t_bwd)], norm=norm)
             for alpha, t_fwd, t_bwd in zip(alphas.tolist(), t[::2], t[1::2])]
 
@@ -230,13 +228,15 @@ def star(norm: Norm, x: SpherePoint) -> ArcSet:
         gap = level - norm(0.5 * (xv + pts)).reshape(theta.shape)
         return gap > 0.0, gap
 
-    t_fwd, t_bwd = _both_sides(norm, np.array([alpha]), "star search", left).tolist()
+    t_fwd, t_bwd = _both_sides(np.array([alpha]), left).tolist()
     return arcset([(alpha - t_bwd, alpha + t_fwd)], norm=norm)
 
 
-# Diametral arcs end within 1e-13 in angle, so a locally constant distance-2
-# set differs from its probes' by rounding, far below this; a moving one
-# moves by about the probe radius (1e-3 by default).
+# ``is_flat`` finds the ends of its diametral arcs to ``_FLAT_XTOL`` in angle,
+# so a locally constant distance-2 set differs from its probes' by about that,
+# three orders below ``_FLAT_HAUSDORFF``; a moving one moves by about the
+# probe radius (1e-3 by default).
+_FLAT_XTOL = 1e-9
 _FLAT_HAUSDORFF = 1e-6
 
 
@@ -245,8 +245,8 @@ def is_flat(norm: Norm, x: SpherePoint, radius: float = 1e-3) -> bool:
 
     Probes one point at sphere distance ``radius`` on each side of ``x`` (one
     bracket search for both) and compares the three diametral sets (one
-    search for all six sides) in the circular Hausdorff metric, up to
-    ``_FLAT_HAUSDORFF``.
+    search for all six sides, to ``_FLAT_XTOL``) in the circular Hausdorff
+    metric, up to ``_FLAT_HAUSDORFF``.
     """
     if not 0.0 < radius < 2.0:  # the probes must lie strictly between x and -x
         raise ValueError(f"radius must lie in (0, 2), got {radius!r}")
@@ -262,13 +262,11 @@ def is_flat(norm: Norm, x: SpherePoint, radius: float = 1e-3) -> bool:
         gap = norm(xv - pts).reshape(t.shape) - radius
         return gap > 0.0, gap
 
-    t_lo, t_hi, converged = bracket_search(beyond, [0.0, 0.0], [math.pi, math.pi])
-    require_converged(converged, t_lo, t_hi,
-                      f"flatness probe search on the {norm.kind} sphere")
+    t_lo, t_hi = bracket_search(beyond, [0.0, 0.0], [math.pi, math.pi])
     t = 0.5 * (t_lo + t_hi)
     probes = [radial_point(norm, alpha + sign * ti)
               for sign, ti in zip((1.0, -1.0), t.tolist())]
-    base, *others = _diametral_arcs(norm, [x, *probes])
+    base, *others = _diametral_arcs(norm, [x, *probes], _FLAT_XTOL)
     return all(arc_hausdorff(base, other) <= _FLAT_HAUSDORFF for other in others)
 
 
@@ -333,7 +331,6 @@ def bisector_points(norm: Norm, x: SpherePoint) -> BisectorPair:
     _require_owner(norm, x)
     alpha = _theta_of(x)
     xv = x.vec
-    search = f"bisector search on the {norm.kind} sphere"
 
     def g(t):
         s = radial_points_vec(norm, (alpha + t).ravel())
@@ -343,10 +340,8 @@ def bisector_points(norm: Norm, x: SpherePoint) -> BisectorPair:
         gt = g(t)
         return gt > 0.0, gt
 
-    lo, hi, converged = bracket_search(rising, [_BISECTOR_END_GAP],
-                                       [math.pi - _BISECTOR_END_GAP],
-                                       xtol=DEFAULT_TOLS.angle)
-    require_converged(converged, lo, hi, search)
+    lo, hi = bracket_search(rising, [_BISECTOR_END_GAP], [math.pi - _BISECTOR_END_GAP],
+                            xtol=DEFAULT_TOLS.angle)
     root = float(0.5 * (lo[0] + hi[0]))
     # the tie interval's edges: forward from 0 and backward from pi, together
     back = np.array([[False], [True]])
@@ -355,9 +350,8 @@ def bisector_points(norm: Norm, x: SpherePoint) -> BisectorPair:
         slack = _BISECTOR_TIE - np.abs(g(np.where(back, math.pi - u, u)))
         return slack >= 0.0, slack
 
-    lo, hi, converged = bracket_search(tied, [0.0, 0.0], [root, math.pi - root],
-                                       xtol=DEFAULT_TOLS.angle)
-    require_converged(converged, lo, hi, search)
+    hi = bracket_search(tied, [0.0, 0.0], [root, math.pi - root],
+                        xtol=DEFAULT_TOLS.angle)[1]
     t_lo, t_hi = float(hi[0]), math.pi - float(hi[1])
     unique = (t_hi - t_lo) <= _BISECTOR_WIDTH
     t_mid = 0.5 * (t_lo + t_hi)
@@ -400,7 +394,7 @@ def self_circumference(norm: Norm, resolution: int = 4096) -> float:
     return float(_closed_chords(norm, radial_points_vec(norm, thetas)).sum())
 
 
-# 2^13 segments: polygon and p >= 2 lengths have converged to rounding there,
+# 2^13 segments: polygon and p >= 2 lengths have settled to rounding there,
 # while at 2^14 the rounding summed over the face segments exceeds 1e-12
 _ARC_MAP_NODES = 1 << 13
 

@@ -138,7 +138,7 @@ def per_radius_points(ambient, curve, t0, deltas):
             gap = ambient(curve.points(t.ravel()) - x).reshape(t.shape) - delta
             return (gap < 0.0) != below
 
-        lo, hi, _ = bracket_search(crossed, ends[crossings], ends[crossings + 1], xtol=0.0)
+        lo, hi = bracket_search(crossed, ends[crossings], ends[crossings + 1], xtol=0.0)
         pa, pb = curve.points(0.5 * (lo + hi))
         a.append(pa)
         b.append(pb)

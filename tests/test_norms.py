@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normgeo import (EuclideanNorm, HexagonalNorm, LensNorm, PNorm,
+from normgeo import (EuclideanNorm, HexagonalNorm, LensNorm, Norm, PNorm,
                      PolygonNorm, RadialGaugeNorm, RevolutionNorm,
                      builtin_norm, diamond_norm, hexagonal_norm,
                      lift_target_norm, norm_from_json, radial_point,
@@ -192,6 +192,36 @@ def test_validate_reports_broken_polygon():
     assert any("finite" in issue for issue in report.structural_issues)
 
 
+class _Broken(Norm):
+    """``scale`` times a gauge that breaks one norm axiom."""
+
+    def __init__(self, scale, gauge):
+        self.scale, self.gauge = scale, gauge
+
+    def _gauge(self, batch):
+        return self.scale * self.gauge(batch)
+
+
+def _asymmetric(batch):  # ||v||_2 + v_x / 2: convex, not symmetric
+    return np.hypot(batch[:, 0], batch[:, 1]) + 0.5 * batch[:, 0]
+
+
+def _half_power(batch):  # (sqrt|x| + sqrt|y|)^2: symmetric, not convex
+    return np.sqrt(np.abs(batch)).sum(axis=1) ** 2
+
+
+@pytest.mark.parametrize("scale", [1e-7, 1.0, 1e7])
+def test_validate_norm_gaps_are_relative(scale):
+    # a sphere of radius 1/scale has norm values ~scale on the samples
+    diamond = PolygonNorm(((1 / scale, 0.0), (0.0, 1 / scale), (-1 / scale, 0.0),
+                           (0.0, -1 / scale)))
+    report = validate_norm(diamond, 1000)
+    assert report.passed and report.triangle_max <= 1e-15
+    for gauge, gap in ((_asymmetric, "symmetry_max"), (_half_power, "triangle_max")):
+        report = validate_norm(_Broken(scale, gauge), 500)
+        assert not report.passed and getattr(report, gap) > 0.1
+
+
 def test_polygon_construction_errors():
     with pytest.raises(ValueError, match="counterclockwise"):
         PolygonNorm(((1.0, 0.0), (0.0, -1.0), (-1.0, 0.0), (0.0, 1.0)))
@@ -306,6 +336,9 @@ def test_lens_rejects_bad_shapes():
             LensNorm(offset=(bad, 0.0))
         with pytest.raises(ValueError, match="shape"):
             LensNorm(shape=((bad, 0.0), (0.0, 1.0)))
+    # M - M^T would overflow: named, with no overflow warning
+    with pytest.raises(ValueError, match="shape matrix must be symmetric"):
+        LensNorm(shape=((1.0, 1e308), (-1e308, 1.0)))
     # c^T M c overflows: named, with no overflow warning
     with pytest.raises(ValueError, match=r"offset \(1e\+308, 0.0\) gives c\^T M c = inf"):
         LensNorm(offset=(1e308, 0.0))
@@ -384,6 +417,16 @@ def test_norm_from_json_rejects_garbage():
     for bad in (math.inf, math.nan, 0.0):
         with pytest.raises(ValueError, match="scale"):
             EuclideanNorm(scale=bad)
+
+
+def test_euclidean_scale_must_be_a_normal_float():
+    tiny = float(np.finfo(float).tiny)
+    for bad in (1e-320, np.nextafter(tiny, 0.0)):
+        with pytest.raises(ValueError, match="scale must be finite and at least"):
+            EuclideanNorm(scale=bad)
+    with pytest.raises(ValueError, match="scale must be finite and at least"):
+        norm_from_json({"kind": "euclidean", "scale": 1e-320})
+    assert EuclideanNorm(scale=tiny)([1.0, 0.0]) == tiny
 
 
 def test_radial_table_needs_one_value_per_angle():

@@ -1,12 +1,15 @@
 import functools
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from normgeo import (LensNorm, bisector_points, charts, curvature, diametral_set,
-                     isometry, isometry_group, is_flat, norms, radial_point, sphere,
-                     star, verify)
+from normgeo import (bisector_points, diametral_set, isometry, isometry_group, is_flat,
+                     radial_point, sphere, star)
 from normgeo.numerics import (bisect_first_true, bisect_root, bisect_root_tight,
                               bracket_search, golden_max)
 
@@ -137,9 +140,7 @@ def arctan_search(roots, valued):
 def test_bracket_search_batch_is_plain_bisection_bit_for_bit(rows, xtol):
     roots, starts, stops = (np.resize(v, rows) for v in (ROOTS, SEARCH_LO, SEARCH_HI))
     for valued in (False, True):
-        lo, hi, converged = bracket_search(arctan_search(roots, valued)[0], starts, stops,
-                                           xtol=xtol)
-        assert converged.all()
+        lo, hi = bracket_search(arctan_search(roots, valued)[0], starts, stops, xtol=xtol)
         for k, (a, b) in enumerate(zip(starts, stops)):
             alone = bracket_search(arctan_search(roots[k:k + 1], valued)[0], [a], [b],
                                    xtol=xtol)
@@ -151,8 +152,8 @@ def test_bracket_search_batch_is_plain_bisection_bit_for_bit(rows, xtol):
 
 def test_bracket_search_counts_one_call_per_step():
     pred, shapes = arctan_search([1.0], False)
-    lo, hi, converged = bracket_search(pred, [1.0 - math.pi / 2], [1.0 + math.pi / 2])
-    assert converged[0] and hi[0] - lo[0] <= 1e-13 and lo[0] < 1.0 <= hi[0]
+    lo, hi = bracket_search(pred, [1.0 - math.pi / 2], [1.0 + math.pi / 2])
+    assert hi[0] - lo[0] <= 1e-13 and lo[0] < 1.0 <= hi[0]
     # every call holds the ends and 63 midpoints, six levels of bisection
     assert set(shapes) == {(1, 65)}
     assert len(shapes) == math.ceil(math.log2(math.pi / 1e-13) / 6) == 8
@@ -169,11 +170,11 @@ def test_bracket_search_speculates_on_values():
     closes in two calls (one of slack allowed) where the grid alone takes
     eight, bit for bit."""
     pred, shapes = arctan_search([1.0], True)
-    lo, hi, converged = bracket_search(pred, [1.0 - math.pi / 2], [1.0 + math.pi / 2])
-    assert converged[0] and len(shapes) <= 3
+    lo, hi = bracket_search(pred, [1.0 - math.pi / 2], [1.0 + math.pi / 2])
+    assert len(shapes) <= 3
     assert shapes[0] == (1, 65) and all(k > 65 for _, k in shapes[1:])
     assert (lo[0], hi[0]) == bracket_search(arctan_search([1.0], False)[0],
-                                            [1.0 - math.pi / 2], [1.0 + math.pi / 2])[:2]
+                                            [1.0 - math.pi / 2], [1.0 + math.pi / 2])
     pred, shapes = arctan_search(np.ones(6), True)
     bracket_search(pred, np.zeros(6), np.full(6, 3.0))
     assert len(shapes) <= 4  # 15 calls of 3 levels without values
@@ -183,37 +184,90 @@ def test_bracket_search_speculates_on_values():
 
 
 def test_bracket_search_to_zero_width_ends_on_adjacent_floats():
-    lo, hi, converged = bracket_search(lambda x: x * x >= 2.0, [1.0, 0.0], [2.0, 1e6],
-                                       xtol=0.0)
-    assert converged.all()
+    lo, hi = bracket_search(lambda x: x * x >= 2.0, [1.0, 0.0], [2.0, 1e6], xtol=0.0)
     assert np.array_equal(np.nextafter(lo, np.inf), hi)
     assert np.all(lo * lo < 2.0) and np.all(hi * hi >= 2.0)
 
 
 def test_bracket_search_closes_a_bracket_true_at_its_start():
-    lo, hi, converged = bracket_search(lambda x: x >= 0.0, [0.0, -1.0], [1.0, 1.0])
-    assert converged.all() and (lo[0], hi[0]) == (0.0, 0.0)
+    lo, hi = bracket_search(lambda x: x >= 0.0, [0.0, -1.0], [1.0, 1.0])
+    assert (lo[0], hi[0]) == (0.0, 0.0)
     assert lo[1] < 0.0 <= hi[1]
     starts = np.full(40, -1.0)
-    starts[3], starts[5] = 0.0, np.nan
-    lo, hi, converged = bracket_search(lambda x: x >= 0.0, starts, np.ones(40))
-    assert (lo[3], hi[3]) == (0.0, 0.0) and not converged[5]
-    rest = np.delete(np.arange(40), 5)
-    assert converged[rest].all() and np.all(lo[rest] <= 0.0) and np.all(hi[rest] >= 0.0)
+    starts[3] = 0.0
+    lo, hi = bracket_search(lambda x: x >= 0.0, starts, np.ones(40))
+    assert (lo[3], hi[3]) == (0.0, 0.0)
+    assert np.all(lo <= 0.0) and np.all(hi >= 0.0)
+    starts[5] = np.nan
+    with pytest.raises(ValueError, match=re.escape("bracket [nan, 1.0]")):
+        bracket_search(lambda x: x >= 0.0, starts, np.ones(40))
 
 
-def test_bracket_search_reports_the_iteration_cap():
-    lo, hi, converged = bracket_search(lambda x: x >= 0.3, [0.0, 0.0], [1.0, 1.0],
-                                       max_iter=2)
-    assert not converged.any()
-    _, _, converged = bracket_search(lambda x: ~(x < 0.5), [np.nan], [1.0])
-    assert not converged[0]
-    starts = np.zeros(40)
-    starts[3], starts[5] = 0.5, np.nan
-    lo, hi, converged = bracket_search(lambda x: ~(x < 0.3), starts, np.ones(40),
-                                       max_iter=2)
-    assert converged[3] and (lo[3], hi[3]) == (0.5, 0.5)
-    assert not np.delete(converged, 3).any()
+FLOAT_MAX = float(np.finfo(float).max)
+HALF_MAX = FLOAT_MAX / 2
+TINY_ROOT = 5e-324  # the least positive float
+
+
+@pytest.mark.parametrize("rows", [1, 6, 40])
+def test_bracket_search_ends_across_half_the_float_range(rows):
+    """The widest bracket allowed closes on adjacent floats around the
+    least positive float in at most ~2,100 calls, with values or without."""
+    for valued in (False, True):
+        calls = 0
+
+        def pred(x):
+            nonlocal calls
+            calls += 1
+            return (x >= TINY_ROOT, x - TINY_ROOT) if valued else x >= TINY_ROOT
+
+        lo, hi = bracket_search(pred, np.full(rows, -HALF_MAX), np.full(rows, HALF_MAX),
+                                xtol=0.0)
+        assert np.all(lo == 0.0) and np.all(hi == TINY_ROOT)
+        assert calls <= 2100, (valued, calls)
+    assert plain_bisection(lambda t: t >= TINY_ROOT, -HALF_MAX, HALF_MAX, 0.0) == (
+        0.0, TINY_ROOT)
+
+
+NOT_FINITE = [(math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf),
+              (-FLOAT_MAX, FLOAT_MAX),  # the width overflows
+              (1.0, FLOAT_MAX)]  # a midpoint sum overflows
+
+
+@pytest.mark.parametrize("rows", [1, 40])
+def test_bracket_search_refuses_brackets_that_are_not_finite(rows):
+    for a, b in NOT_FINITE:
+        lo, hi = np.zeros(rows), np.ones(rows)
+        lo[-1], hi[-1] = a, b
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"bracket [{a!r}, {b!r}]")):
+                bracket_search(lambda x: x >= 0.5, lo, hi)
+    with pytest.raises(ValueError, match=re.escape("bracket [nan, 1.0]")):
+        bisect_first_true(lambda t: t >= 0.5, math.nan, 1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.sampled_from([1, 3, 6, 40]),
+       ends=st.lists(st.floats(-HALF_MAX, HALF_MAX), min_size=2, max_size=2),
+       xtol=st.sampled_from([0.0, 1e-13, 1e-6, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1), magnitude=st.sampled_from([1e-300, 1.0, 1e300]),
+       valued=st.booleans())
+def test_bracket_search_always_ends(rows, ends, xtol, seed, magnitude, valued):
+    """Truths and values drawn at random from the abscissae's bits, True at
+    ``hi`` so the search starts: every bracket still closes."""
+    a, b = sorted(ends)
+    lo, hi = np.linspace(a, b, rows + 1)[:-1], np.full(rows, b)
+
+    def pred(x):
+        bits = (x.view(np.uint64) ^ np.uint64(seed)) * np.uint64(0x9E3779B97F4A7C15)
+        truth = ((bits >> np.uint64(40)) & np.uint64(1)).astype(bool) | (x == hi[:, None])
+        values = ((bits >> np.uint64(11)).astype(float) / 2.0 ** 53 - 0.5) * magnitude
+        return (truth, values) if valued else truth
+
+    out_lo, out_hi = bracket_search(pred, lo, hi, xtol=xtol)
+    mid = 0.5 * (out_lo + out_hi)
+    assert np.all((out_hi - out_lo <= xtol) | (mid == out_lo) | (mid == out_hi))
+    assert np.all((lo <= out_lo) & (out_lo <= out_hi) & (out_hi <= hi))
 
 
 def test_searches_raise_on_a_bracket_without_a_boundary():
@@ -231,12 +285,6 @@ def test_scalar_wrappers_follow_the_engine():
     assert abs(bisect_root(math.cos, 0.0, 3.0) - math.pi / 2) <= 1e-13
     root = bisect_root_tight(lambda t: t * t - 2.0, 1.0, 2.0)
     assert root in (math.sqrt(2.0), np.nextafter(math.sqrt(2.0), 0.0))
-
-
-def capped_search(monkeypatch, module):
-    # one call: the ends and one grid, which closes no bracket of these searches
-    monkeypatch.setattr(module, "bracket_search",
-                        functools.partial(bracket_search, max_iter=1))
 
 
 # Most predicate calls per query over the angles 0.3, 2.0 and 4.4, one above
@@ -262,23 +310,3 @@ def test_sphere_queries_keep_their_call_budgets(monkeypatch, hexn, p3, lens):
                 calls.clear()
                 query(norm, x)
                 assert len(calls) <= budget, (norm.kind, theta, query.__name__, len(calls))
-
-
-@pytest.mark.parametrize("query", [diametral_set, star, is_flat, bisector_points])
-def test_capped_sphere_searches_raise(monkeypatch, hexn, query):
-    capped_search(monkeypatch, sphere)
-    with pytest.raises(RuntimeError, match="hexagonal sphere"):
-        query(hexn, radial_point(hexn, 0.3))
-
-
-def test_capped_searches_elsewhere_raise(monkeypatch, hexn):
-    for module in (verify, norms, curvature, charts):
-        capped_search(monkeypatch, module)
-    with pytest.raises(RuntimeError, match="revolution sphere"):
-        verify.run_reference_checks(ridge_samples=8)
-    with pytest.raises(RuntimeError, match="lens sphere"):
-        LensNorm(shape=((0.3, 0.05), (0.05, 0.6)), offset=(0.9, 0.3))
-    with pytest.raises(RuntimeError, match="euclidean norm"):
-        curvature.normed_curvature(norms.EuclideanNorm(), curvature.circle_curve(), 0.3)
-    with pytest.raises(RuntimeError, match="hexagonal sphere"):
-        charts.base_leftmost_crossing(hexn, [0.2, 0.3])

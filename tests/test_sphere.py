@@ -232,16 +232,17 @@ def two_row_radial(norm, theta):
     return radial_points_vec(norm, [theta, theta])[0]
 
 
-def scalar_sides(fwd_pred, bwd_pred):
+def scalar_sides(fwd_pred, bwd_pred, xtol=1e-13):
     """Where each side's scalar bisection over ``[0, pi]`` turns True."""
-    return (plain_bisection(fwd_pred, 0.0, math.pi)[1],
-            plain_bisection(bwd_pred, 0.0, math.pi)[1])
+    return (plain_bisection(fwd_pred, 0.0, math.pi, xtol)[1],
+            plain_bisection(bwd_pred, 0.0, math.pi, xtol)[1])
 
 
-def scalar_diametral(norm, theta, xv, level):
+def scalar_diametral(norm, theta, xv, level, xtol=1e-13):
     def dist(t):
         return two_row(norm, xv - two_row_radial(norm, theta + t))
-    fwd, bwd = scalar_sides(lambda t: dist(t) >= level, lambda u: dist(TWO_PI - u) >= level)
+    fwd, bwd = scalar_sides(lambda t: dist(t) >= level, lambda u: dist(TWO_PI - u) >= level,
+                            xtol)
     return arcset([(theta + fwd, theta + TWO_PI - bwd)]).intervals
 
 
@@ -279,7 +280,8 @@ def test_queries_equal_scalar_bisection_bit_for_bit(hexn, p3, lens):
             assert bisector_points(norm, x).point == z
 
             # is_flat: the probes 1e-3 away on each side, then the three
-            # distance-2 sets in one search, their levels from one batch
+            # distance-2 sets in one search to its own resolution, their
+            # levels from one batch
             probes = []
             for sign in (1.0, -1.0):
                 lo, hi = plain_bisection(
@@ -290,19 +292,19 @@ def test_queries_equal_scalar_bisection_bit_for_bit(hexn, p3, lens):
             xvs = np.array([p.vec for p in points])
             thetas = np.array([p.theta % TWO_PI for p in points])
             levels = norm(xvs - radial_points_vec(norm, thetas + math.pi)) - 1e-12
-            expected = [scalar_diametral(norm, t, v, lv)
+            expected = [scalar_diametral(norm, t, v, lv, sphere._FLAT_XTOL)
                         for t, v, lv in zip(thetas.tolist(), xvs, levels.tolist())]
             searched = []
             arcs = sphere._diametral_arcs
 
-            def spy(norm, points):
-                searched.append(points)
-                return arcs(norm, points)
+            def spy(norm, points, xtol):
+                searched.append((points, xtol))
+                return arcs(norm, points, xtol)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(sphere, "_diametral_arcs", spy)
                 is_flat(norm, x)
-            assert searched[0] == points
-            assert [a.intervals for a in arcs(norm, points)] == expected
+            assert searched[0] == (points, sphere._FLAT_XTOL)
+            assert [a.intervals for a in arcs(norm, points, sphere._FLAT_XTOL)] == expected
 
 
 def test_general_bisector_midpoint_symmetry(hexn):

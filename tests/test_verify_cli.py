@@ -241,6 +241,7 @@ def diamond_spec(scale):
     ({"kind": "lens", "offset": [1e308, 0.0]}, "offset (1e+308, 0.0) gives c^T M c = inf"),
     (diamond_spec(1e-310), "vertices have coordinates too large or too small"),
     (diamond_spec(1e308), "vertices have coordinates too large or too small"),
+    ({"kind": "euclidean", "scale": 1e-320}, "scale must be finite and at least"),
 ])
 def test_cli_rejects_norms_at_the_ends_of_the_float_range(spec, message, tmp_path, capsys):
     path = tmp_path / "norm.json"
