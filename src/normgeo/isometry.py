@@ -9,7 +9,8 @@ two spheres and, with both the same, in the self-isometry group.  A lag
 table of distances between points of a grid finer than the samples of the
 second sphere gives the mismatch against row 0 of the first sphere's chord
 matrix at every grid offset at once, for rotations and reflections alike;
-every gauge is even, so the lags up to half a turn give the whole table.
+every gauge is even, so the lags up to half a turn give the whole table, the
+reversed lags read from a skewed view of the same block in one reduction.
 Offsets move the points at unit speed and an arc is never shorter than its
 chord, so the mismatch is 2-Lipschitz in the offset: only grid minima that
 could fall to the tolerance within a grid step are refined.  Near an
@@ -19,7 +20,9 @@ steps to the apex of the V through its best points (``golden_max``).  One
 certificate then checks each survivor's full chord matrix: an offset of
 ``f + s`` sample steps puts sample ``i`` at ``f + (s +- i)``, so offsets with
 one fraction ``f`` share the chord matrix of the points ``f + k``, rows and
-columns permuted, and whole shifts read the second fingerprint's own.
+columns permuted, and whole shifts read the second fingerprint's own.  The
+permuted matrix is compared block by block in place: a shift cuts it into
+four contiguous blocks, and a reflection is a shift of the matrix reversed.
 Offsets need not be whole sample steps, so symmetries whose order does not
 divide the sample count are found, and so are isometries that do not carry
 the first sphere's samples onto the second's.
@@ -31,7 +34,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .config import DEFAULT_TOLS
 from .charts import SphereMapSample
@@ -210,8 +213,11 @@ def _lag_profiles(fp_x: ChordFingerprint, fp_y: ChordFingerprint):
     bit for bit.  Offset ``i``'s column of the full table, read against
     row 0 of ``fp_x``'s chord matrix, is its rotation mismatch; read against
     that row reversed, ``k -> -k``, it is its reflection mismatch.  The table
-    is built and reduced about ``n^2 / 2`` entries at a time, lag-major, so
-    every reduction runs over contiguous rows.
+    is built and reduced about ``n^2 / 2`` entries at a time, lag-major.  A
+    block's mismatches are laid twice side by side; its lags ``k`` reduce
+    over the first copy, and its reversed lags ``n - k`` over a read-only
+    view that rotates row ``k`` by ``r k`` offsets (``_skewed``), one
+    ``max`` over the rows each.
 
     Returns ``(grid, rotation_profile, reflection_profile)``.
     """
@@ -232,18 +238,29 @@ def _lag_profiles(fp_x: ChordFingerprint, fp_y: ChordFingerprint):
         ks = np.arange(lo, min(lo + per_call, half + 1))
         diff = ahead[:, ks] - q[:, None, :]
         table = norm(diff.reshape(2, -1).T).reshape(ks.size, m)
-        dev_rot = np.abs(table - row[ks, None])
-        dev_ref = np.abs(table - reversed_row[ks, None])
-        np.maximum(rot, dev_rot.max(axis=0), out=rot)
-        np.maximum(flipped, dev_ref.max(axis=0), out=flipped)
-        # lag n - k of offset i + r k is lag k of offset i, read the other way
-        for k, to_rot, to_flipped in zip(ks, dev_ref, dev_rot):
-            if 0 < k < half:
-                s = r * k
-                for out, dev in ((rot, to_rot), (flipped, to_flipped)):
-                    np.maximum(out[s:], dev[:m - s], out=out[s:])
-                    np.maximum(out[:s], dev[m - s:], out=out[:s])
+        for out, other, ref in ((rot, flipped, row), (flipped, rot, reversed_row)):
+            dev = np.empty((ks.size, 2 * m))
+            np.abs(np.subtract(table, ref[ks, None], out=dev[:, :m]), out=dev[:, :m])
+            dev[:, m:] = dev[:, :m]
+            np.maximum(out, dev[:, :m].max(axis=0), out=out)
+            # lag n - k of offset i + r k is lag k of offset i, read the other
+            # way; lags 0 and n / 2 are their own mirror and read the same
+            np.maximum(other, _skewed(dev, r * lo, r).max(axis=0), out=other)
     return grid, rot, flipped
+
+
+def _skewed(doubled: np.ndarray, shift: int, step: int) -> np.ndarray:
+    """Read-only view of ``doubled``'s rows, row ``j`` rotated right by
+    ``shift + j * step``: entry ``[j, i]`` is ``row_j[(i - shift - j * step) % m]``.
+
+    ``doubled`` holds each row twice along its ``2 m`` columns, and every
+    rotation lies in ``0 .. m``, so each row of the view is a window of its
+    doubled row: the rows start ``step`` entries further left each time.
+    """
+    m = doubled.shape[1] // 2
+    rows, cols = doubled.strides
+    return as_strided(doubled[:, m - shift:], shape=(len(doubled), m),
+                      strides=(rows - step * cols, cols), writeable=False)
 
 
 def _profile_zeros(fp_x: ChordFingerprint, fp_y: ChordFingerprint,
@@ -310,6 +327,24 @@ def _offset_scan(fp_x: ChordFingerprint, fp_y: ChordFingerprint,
             for w in _profile_zeros(fp_x, fp_y, grid, profile, reflected, tol)]
 
 
+def _shift_defect(chords: np.ndarray, ref: np.ndarray, s: int, reflected: bool) -> float:
+    """``max |chords[perm][:, perm] - ref|``, ``perm[i] = (s +- i) mod n``.
+
+    The permuted matrix is never gathered: its rows and columns ``i < n - s``
+    are ``chords[s:]`` and the rest ``chords[:s]``, so it is four contiguous
+    blocks of ``chords``, each compared with the matching block of ``ref``.
+    A reflection ``s - i`` is the shift ``n - 1 - s`` of ``chords[::-1, ::-1]``.
+    The maximum runs over the same entries, so it is the gathered one.
+    """
+    n = len(ref)
+    if reflected:
+        chords, s = chords[::-1, ::-1], n - 1 - s
+    # (block of chords, block of ref) along either axis; no second one at s = 0
+    spans = [(slice(s, n), slice(0, n - s)), (slice(0, s), slice(n - s, n))][:1 + (s > 0)]
+    return float(np.max([np.abs(chords[r, c] - ref[ref_r, ref_c]).max()
+                         for r, ref_r in spans for c, ref_c in spans]))
+
+
 def _certified(fp_x: ChordFingerprint, fp_y: ChordFingerprint, found: list[tuple[bool, float]],
                tol: float) -> list[tuple[bool, float, int | float, float]]:
     """The ``(reflected, offset)`` candidates whose chord matrix matches ``fp_x``'s.
@@ -317,9 +352,11 @@ def _certified(fp_x: ChordFingerprint, fp_y: ChordFingerprint, found: list[tuple
     Offset ``f + s`` sample steps of ``fp_y`` (``s`` whole) carries sample
     ``i`` to the point ``f + (s +- i) mod n``: whole shifts read
     ``fp_y.chords``, and fractions within ``_SHIFT_SNAP`` of one another read
-    one matrix, placed at the first one's.  Returns ``(reflected, offset,
-    shift, defect)`` in the order of ``found``, ``shift`` an ``int`` for a
-    whole shift, ``defect`` the largest entrywise mismatch, at most ``tol``.
+    one matrix, placed at the first one's.  Each candidate compares that
+    matrix with ``fp_x``'s in four blocks, not gathered (``_shift_defect``).
+    Returns ``(reflected, offset, shift, defect)`` in the order of ``found``,
+    ``shift`` an ``int`` for a whole shift, ``defect`` the largest entrywise
+    mismatch, at most ``tol``.
     """
     n = fp_y.n
     step = fp_y.circumference / n
@@ -338,8 +375,7 @@ def _certified(fp_x: ChordFingerprint, fp_y: ChordFingerprint, found: list[tuple
             if frac not in chords:
                 pts = arc_length_map(fp_y.norm).point_at((frac + idx) * step)
                 chords[frac] = _chord_matrix(fp_y.norm, pts)
-        perm = (s - idx if reflected else s + idx) % n
-        defect = float(np.abs(chords[frac][np.ix_(perm, perm)] - fp_x.chords).max())
+        defect = _shift_defect(chords[frac], fp_x.chords, s % n, reflected)
         if defect <= tol:
             out.append((reflected, offset, shift, defect))
     return out

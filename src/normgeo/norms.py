@@ -51,13 +51,20 @@ def _float_array(value, shape: tuple[int, ...], field: str) -> np.ndarray:
     return arr
 
 
-def _float_list(value, field: str) -> np.ndarray:
-    """``value`` as a float array, else ``ValueError`` naming ``field``; the
-    caller checks its shape."""
+def _finite_list(value, field: str) -> np.ndarray:
+    """``value`` as a float array of finite entries, else ``ValueError``
+    naming ``field`` (and the first entry that is not finite); the caller
+    checks its shape."""
     try:
-        return np.array(value, dtype=float)
+        arr = np.array(value, dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"{field} must be a list of numbers, got {value!r}") from None
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"{field} must be finite numbers, got {float(arr.flat[i])!r} "
+                         f"at index {i}")
+    return arr
 
 
 def _integer(value, field: str) -> int:
@@ -94,6 +101,21 @@ def _power_window(dim: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     return np.array(small), np.array(big)
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Sum of each row of ``a`` (2 or 3 columns): ``(a_0 + a_1) + a_2``.
+
+    The left-to-right order of ``a.sum(axis=1)`` on so few columns, so the
+    same floats, but as whole-column adds: on C-ordered rows these cost a
+    small fraction of the row reduction.  One sign differs: a row of
+    negative zeros sums to ``-0.0`` here and to ``0.0`` there.  The gauges
+    sum absolute values, which hold no negative zero.
+    """
+    out = a[:, 0] + a[:, 1]
+    for j in range(2, a.shape[1]):
+        out += a[:, j]
+    return out
+
+
 def _power_sum_root(a: np.ndarray, p: float) -> np.ndarray:
     """``(sum_i a_i^p)^(1/p)`` of each row of the nonnegative ``a``, ``p > 1``.
 
@@ -104,20 +126,21 @@ def _power_sum_root(a: np.ndarray, p: float) -> np.ndarray:
     The bounds are ``(huge / dim)^(1/p)`` and ``(dim * tiny)^(1/p)``, kept
     within ``2^-100 .. 2^100``.  Any other row is divided by its largest
     entry, summed and scaled back.  For ``p = 2``, ``x ** 2.0`` and
-    ``x ** 0.5`` are bit for bit the square and the square root.
+    ``x ** 0.5`` are bit for bit the square and the square root.  Rows are
+    summed by ``_row_sums``, column by column from the left.
     """
     small, big = _power_window(a.shape[1], p)
     if not np.count_nonzero(a > big):
-        out = (a ** p).sum(axis=1) ** (1.0 / p)
+        out = _row_sums(a ** p) ** (1.0 / p)
         low = out < small
         if not np.count_nonzero(low) or not a[low].any():  # zero rows are exact
             return out
     with np.errstate(over="ignore", under="ignore"):
-        out = (a ** p).sum(axis=1) ** (1.0 / p)
+        out = _row_sums(a ** p) ** (1.0 / p)
         top = a.max(axis=1)
         redo = (top > big) | ((out < small) & (top > 0.0))  # NaN rows stay NaN
         scale = np.where(np.isfinite(top), top, 1.0)[redo]
-        out[redo] = scale * ((a[redo] / scale[:, None]) ** p).sum(axis=1) ** (1.0 / p)
+        out[redo] = scale * _row_sums((a[redo] / scale[:, None]) ** p) ** (1.0 / p)
     return out
 
 
@@ -165,7 +188,7 @@ class PNorm(Norm):
         if math.isinf(self.p):
             return a.max(axis=1)
         if self.p == 1.0:
-            return a.sum(axis=1)
+            return _row_sums(a)
         return _power_sum_root(a, self.p)
 
     def corner_angles(self):
@@ -542,7 +565,8 @@ class RadialGaugeNorm(Norm):
     def __post_init__(self):
         if self.table is not None:
             # validate the data itself; node interpolation wobble is h^3-small
-            grid = np.asarray(self.table[0], dtype=float)
+            grid = _finite_list(self.table[0], "angles")
+            _finite_list(self.table[1], "values")
             half = len(grid) // 2
             if len(grid) < 8 or len(grid) % 2 != 0 or np.abs(
                     grid[half:] - math.pi - grid[:half]).max() > _ANGLE_PAIRING:
@@ -590,8 +614,8 @@ class RadialGaugeNorm(Norm):
     @staticmethod
     def from_table(angles: Sequence[float], values: Sequence[float]) -> "RadialGaugeNorm":
         """Build from sampled (angle, radius) pairs, interpolated periodically."""
-        ang = np.mod(_float_list(angles, "angles"), TWO_PI)
-        val = _float_list(values, "values")
+        ang = np.mod(_finite_list(angles, "angles"), TWO_PI)
+        val = _finite_list(values, "values")
         if ang.ndim != 1 or val.shape != ang.shape:
             raise ValueError(f"angles and values must be lists of the same length, "
                              f"got shapes {ang.shape} and {val.shape}")

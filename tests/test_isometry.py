@@ -322,7 +322,7 @@ def _seeded_images(seed, hexn, p3):
             LinearImageNorm(p3, tuple(map(tuple, b))))
 
 
-@pytest.mark.parametrize("n", [130, 256])
+@pytest.mark.parametrize("n", [4, 6, 130, 256])
 def test_half_lag_table_profiles_equal_the_full_table(n, shipped_2d, hexn, p3):
     norms = shipped_2d + [PNorm(1.5, 2)]
     for seed in (11, 12, 13):
@@ -399,6 +399,27 @@ def test_whole_shift_alignments_build_no_chord_matrix(monkeypatch, diamond, squa
     found = align(fx, fy)
     assert len(found) == 8 and all(type(a.shift) is int for a in found)
     assert calls == []
+
+
+def _gathered_defect(chords, ref, s, reflected):
+    """The certificate as a gather: ``chords`` permuted by ``(s +- i) mod n``."""
+    idx = np.arange(len(ref))
+    perm = (s - idx if reflected else s + idx) % len(ref)
+    return float(np.abs(chords[np.ix_(perm, perm)] - ref).max())
+
+
+@pytest.mark.parametrize("n", [4, 6, 130, 256])
+def test_block_view_certificate_equals_the_gather(n, hexn, p3):
+    rng = np.random.default_rng(n)
+    fp_hex, fp_p3 = (fingerprint(image, n) for image in _seeded_images(11, hexn, p3))
+    pairs = [(rng.normal(size=(n, n)), rng.normal(size=(n, n))),
+             (fp_hex.chords, fp_hex.chords), (fp_p3.chords, fp_p3.chords),
+             (fp_p3.chords, fp_hex.chords)]
+    for chords, ref in pairs:
+        for reflected in (False, True):
+            for s in range(n):
+                assert (isometry._shift_defect(chords, ref, s, reflected)
+                        == _gathered_defect(chords, ref, s, reflected)), (s, reflected)
 
 
 def _placed_defect(fp_x, fp_y, offset, reflected):

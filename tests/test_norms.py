@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from normgeo import (EuclideanNorm, HexagonalNorm, LensNorm, Norm, PNorm,
                      builtin_norm, diamond_norm, hexagonal_norm,
                      lift_target_norm, norm_from_json, radial_point,
                      sphere_point, square_norm, validate_norm)
+from normgeo import norms
 from normgeo.norms import HEX_VERTICES, radial_points_vec
 
 from conftest import plain_bisection
@@ -132,6 +134,22 @@ def test_polygon_gauge_matches_the_row_max_bit_for_bit(hexn, square):
 
 POWER_NORMS = (EuclideanNorm(), EuclideanNorm(scale=2.5), PNorm(2.0, 2),
                PNorm(3.0, 2), PNorm(1.5, 2), PNorm(3.0, 3), EuclideanNorm(dim=3))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_column_row_sums_are_the_row_reduction_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    batch = rng.normal(size=(4096, dim)) * 10.0 ** rng.uniform(-310, 300, size=(4096, dim))
+    batch[:8] = 0.0
+    batch[8:16] = 5e-324 * rng.integers(-3, 4, size=(8, dim))
+    for k, special in enumerate((math.inf, -math.inf, math.nan)):
+        batch[16 + 8 * k:24 + 8 * k, rng.integers(0, dim)] = special
+    batch[40] = [math.inf, -math.inf, 1.0][:dim]
+    # no row of negative zeros: it sums to -0.0 by columns, to 0.0 by rows
+    assert not np.all(np.signbit(batch) & (batch == 0.0), axis=1).any()
+    for a in (batch, np.abs(batch), np.asfortranarray(batch)):
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            assert norms._row_sums(a).tobytes() == a.sum(axis=1).tobytes()
 
 
 def test_power_gauges_neither_overflow_nor_underflow():
@@ -374,6 +392,24 @@ def test_radial_gauge_rejects_radii_without_a_finite_reciprocal():
     with pytest.raises(ValueError, match="values must have finite reciprocals"):
         RadialGaugeNorm(lambda t: np.full_like(t, 1e-320))
     assert RadialGaugeNorm.from_table(angles, [1e-300] * 8)([1e-300, 0.0]) == 1.0
+
+
+@pytest.mark.parametrize("bad_field, at", [("angles", math.inf), ("angles", -math.inf),
+                                           ("angles", math.nan), ("values", math.inf),
+                                           ("values", math.nan)])
+def test_radial_table_names_a_field_that_is_not_finite(bad_field, at):
+    table = {"angles": [k * math.pi / 4.0 for k in range(8)], "values": [1.0] * 8}
+    table[bad_field][5] = at
+    message = f"{bad_field} must be finite numbers, got {at!r} at index 5"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RadialGaugeNorm.from_table(table["angles"], table["values"])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            norm_from_json({"kind": "radial", **table})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RadialGaugeNorm(lambda t: np.ones_like(t),
+                            table=(tuple(table["angles"]), tuple(table["values"])))
 
 
 @pytest.mark.parametrize("make", [

@@ -222,6 +222,12 @@ def test_cli_names_the_bad_field(tmp_path, capsys):
                                         "angles": [k * math.pi / 8 for k in range(16)],
                                         "values": [1e308] * 16}),
              "values must keep the sphere's edge cross products finite"),
+            ("inf_angle", '{"kind": "radial", "angles": [0, 0.7, 1.5, 2.3, 3.1, 3.9, 4.7, '
+             'Infinity], "values": [1, 1, 1, 1, 1, 1, 1, 1]}',
+             "angles must be finite numbers, got inf at index 7"),
+            ("nan_values", '{"kind": "radial", "angles": [0, 0.7, 1.5, 2.3, 3.1, 3.9, 4.7, 5.5], '
+             '"values": [1, 1, NaN, 1, 1, 1, 1, 1]}',
+             "values must be finite numbers, got nan at index 2"),
             ("number_profile", '{"kind": "revolution", "profile": 3}',
              "profile must be a norm object with a 'kind' field, got 3")):
         spec = tmp_path / f"{name}.json"
