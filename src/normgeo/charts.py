@@ -288,8 +288,14 @@ class InjectivityResult:
     min_gap: float
 
 
+# Gap at or below which two samples' distance 4-tuples count as equal.  At
+# 4096 samples the seeded strictly convex spheres keep gaps above 1e-5 while
+# polygon faces give exact 0, and distances of unit vectors round at ~1e-16.
+_INJECTIVITY_TOL = 1e-6
+
+
 def four_distance_injectivity(norm: Norm, u1, u2, resolution: int = 4096,
-                              *, tol: float = 1e-6,
+                              *, tol: float = _INJECTIVITY_TOL,
                               min_separation_steps: int = 4) -> InjectivityResult:
     """Does ``v -> (||v+u1||, ||v-u1||, ||v+u2||, ||v-u2||)`` separate the sphere?
 
@@ -423,7 +429,13 @@ def _direction(u, name: str) -> np.ndarray:
     return vec
 
 
-def arc_distinguishes(norm: Norm, arc, p, q, tol: float = 1e-9) -> bool:
+# Distance difference above which an arc point tells p and q apart: norms of
+# unit-scale vectors round at ~1e-16, and the arc's sampled points lie on the
+# sphere to the radial map's rounding.
+_DISTINGUISH_TOL = 1e-9
+
+
+def arc_distinguishes(norm: Norm, arc, p, q, tol: float = _DISTINGUISH_TOL) -> bool:
     """True when some point of ``arc`` has different distances to ``p`` and ``q``.
 
     ``arc`` is an :class:`ArcSet` (sampled along each interval) or an explicit
@@ -526,7 +538,7 @@ def base_leftmost_crossing(norm, point) -> float:
         if span > 1e6:
             raise ValueError("no exterior bracket found on the base line")
 
-    def inside(t: np.ndarray):
+    def inside(t: np.ndarray, at: np.ndarray):
         ft = f(t)
         return ft <= 0.0, -ft
 

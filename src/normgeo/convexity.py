@@ -16,46 +16,32 @@ grows monotonically along either half circle, so each ``b1`` has one partner
 ``b2`` per side and ``delta`` is a 1-D search over the angle of ``b1``.  Flat
 faces reach the sum 2 and give exactly 0.
 
-Each partner is the one that 45 lockstep halvings of ``[0, pi]`` find with
-a norm call at every midpoint, but it costs about 14 calls on the first
-grid and 4 to 8 in a zoom of a smooth sphere.  Checked angles bracket it
-(the chord below ``eps`` at ``a``, at least ``eps`` at ``b``) and the
-secant through the bracket estimates it as ``p``.  The halvings are walked
-by arithmetic alone to their last bracket ``lo < p <= hi`` (a cell), and
-both ends are checked in one call.  If the chord is below ``eps`` at ``lo``
-and at least ``eps`` at ``hi``, every earlier midpoint lies at or below
-``lo`` or at or above ``hi``, so monotonicity decides it as the norm call
-would, and the halvings end on ``hi``.  A failed check tightens the bracket
-for the next secant; after a few cells the plain halvings take over, with
-a norm call only at the midpoints inside the bracket.  So a poor bracket
-costs calls but never changes a partner.
-
-The chord as computed is monotone only up to rounding, about 2e-15.  So a
-cell decides only where the chord rises across it by more than a bound of
-rounding, and the plain halvings start from angles whose chords clear
-``eps`` by more than it; where the chord is flat at ``eps``, as at
-``eps = 2`` (the antipode), every midpoint is evaluated.
-
-First-grid angles are bracketed by regula falsi steps from ``[0, pi]``,
-and zoom angles by a cubic fit of the first grid's partners.
+Every partner is the high end of one ``numerics.bracket_search`` of
+``[0, pi]`` to ``DEFAULT_TOLS.angle``: 45 halvings, bit for bit the lockstep
+bisection with a norm call at every midpoint.  The predicate gives the
+chord minus ``eps`` with its truths, so the search speculates: regula falsi
+steps for the first-grid angles, and for the zoom angles a bracket around a
+cubic fit of the first grid's partners, checked at both ends; then cells of
+the halvings checked at both ends, and plain halvings where a cell does not
+decide.  The values only choose which angles to evaluate, so a poor
+estimate costs chord evaluations but never changes a partner.  At
+``eps = 2`` the chord is flat at ``eps`` at the antipode, so the predicate
+gives its truths alone and every midpoint is evaluated.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .norms import Norm, _integer, radial_points_vec
-from .numerics import TWO_PI
+from .numerics import TWO_PI, bracket_search
 
 __all__ = ["ModulusCurve", "modulus_of_convexity", "modulus_curve",
            "is_strictly_convex"]
 
-# Lockstep halvings of [0, pi]: pi / 2**45 = 8.9e-14 < 1e-13 in angle.
-_HALVINGS = 45
 # A sum this close to 2 is a midpoint on the sphere: delta is exactly 0, and
 # the chord scan calls the chord flat.  The margin also keeps a face exactly
 # eps long, whose far vertex the bisection may overshoot by 1e-13 when
@@ -73,29 +59,11 @@ _MIN_RESOLUTION = 64
 # Half-width of a fitted bracket: 1/16 of the larger 4th difference of the
 # partners around it (a cubic fit errs by about 3/128 of it; from the first
 # grid at the default resolution, by at most 0.04 of it on l_3 and l_1.5) plus
-# 16 last halvings, the noise of the partners it is fitted to.  Both set only
-# how many norm calls a partner costs, never which partner is found: on l_3
-# images 1.5% of the zoom angles miss their fit (sweep inputs).
-_FIT_SHARE, _FIT_SLACK = 1.0 / 16.0, 16.0 * math.pi / 2.0 ** _HALVINGS
-# Regula falsi steps from [0, pi] for the first-grid angles: after 12 the
-# first cell holds the partner of all but at most 9% of the angles of the
-# round, l_3, l_1.5 and lens spheres (1% on average), and of all but 19% on
-# polygons, whose chord has corners and flat sides (sweep eps, seeds 3, 7, 11).
-_FALSI_STEPS = 12
-# Cells tried before the plain halvings: three leave at most 0.8% of those
-# first-grid angles open on the smooth spheres and 8.6% on polygons.  Up to 9%
-# more, on l_3, hit a cell across which the chord is flat at eps to rounding;
-# they run the plain halvings too.
-_CELL_TRIES = 3
-# Rounding leaves the computed chord within ~2e-15 of a monotone function of
-# t (second differences at three adjacent midpoints, measured on the builtin
-# norms and seeded images).  A checked chord decides the midpoints beyond it
-# only if it clears eps by more than this bound, and a checked cell only if
-# the chord rises across it by more: else rounding could reorder them.
-_ROUNDING = 2.0 ** -46
-# The first 16 halvings are looked up in a table of their 2**16 + 1 bracket
-# ends (512 kB); the other 29 are walked.
-_TABLED = 16
+# 16 last halvings of [0, pi] (pi / 2**45 each), the noise of the partners it
+# is fitted to.  Both set only how many norm calls a partner costs, never which
+# partner is found: on l_3 images 1.5% of the zoom angles miss their fit (sweep
+# inputs).
+_FIT_SHARE, _FIT_SLACK = 1.0 / 16.0, 16.0 * math.pi / 2.0 ** 45
 
 
 def _checked_resolution(norm: Norm, resolution) -> int:
@@ -122,175 +90,39 @@ def _chords(norm: Norm, x: np.ndarray, thetas: np.ndarray, sides: np.ndarray,
 
 
 def _partners(norm: Norm, eps: float, x: np.ndarray, thetas: np.ndarray,
-              sides: np.ndarray, a, b) -> np.ndarray:
+              sides: np.ndarray, guess=None) -> np.ndarray:
     """The first ``t`` of ``[0, pi]``, to the last halving, whose chord
-    reaches ``eps``, for ``x = s(theta)``.
+    reaches ``eps``, for ``x = s(theta)``: one ``bracket_search``, the
+    partners its high ends.
 
-    All brackets are halved in lockstep.  The chord is known to be below
-    ``eps`` at ``t <= a`` and at least ``eps`` at ``t >= b``, so only the
-    midpoints strictly inside ``(a, b)`` cost a norm call.
+    The chord is 0 at ``t = 0`` and 2 at the antipode up to rounding, so the
+    ends are answered without a norm call, as plain bisection never
+    evaluates them.  At ``eps = 2`` the chord is flat at ``eps`` there, so no
+    cell could decide: the truths come alone, and every midpoint is
+    evaluated.
     """
-    lo, hi = np.zeros_like(thetas), np.full_like(thetas, math.pi)
-    for _ in range(_HALVINGS):
-        mid = 0.5 * (lo + hi)
-        far = mid >= b
-        inside = np.flatnonzero((mid > a) ^ far)
-        if inside.size:
-            far[inside] = _chords(norm, x[inside], thetas[inside], sides[inside],
-                                  mid[inside]) >= eps
-        lo, hi = np.where(far, lo, mid), np.where(far, mid, hi)
-    return hi
+    flat = eps == 2.0
 
+    def chord_gap(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return _chords(norm, x.take(rows, 0), thetas.take(rows), sides.take(rows), t) - eps
 
-@functools.cache
-def _lockstep_nodes() -> np.ndarray:
-    """The ends of the ``2**_TABLED`` brackets left by the first ``_TABLED``
-    lockstep halvings of ``[0, pi]``, in order; built on first use."""
-    nodes = np.array([0.0, math.pi])
-    for _ in range(_TABLED):
-        finer = np.empty(2 * nodes.size - 1)
-        finer[::2], finer[1::2] = nodes, 0.5 * (nodes[:-1] + nodes[1:])
-        nodes = finer
-    nodes.flags.writeable = False
-    return nodes
-
-
-def _cell(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The last bracket ``lo < p <= hi`` of the lockstep halvings of
-    ``[0, pi]``, found by arithmetic alone: the first ``_TABLED`` halvings
-    from a table, the rest walked."""
-    nodes = _lockstep_nodes()
-    at = np.clip(np.searchsorted(nodes, p), 1, nodes.size - 1)
-    ends = nodes[np.column_stack([at - 1, at])]
-    flat, first = ends.reshape(-1), np.arange(0, ends.size, 2)
-    lo, hi = ends.T
-    for _ in range(_HALVINGS - _TABLED):
-        mid = 0.5 * (lo + hi)
-        flat[first + (mid >= p)] = mid  # a far midpoint is the new hi
-    return lo, hi
-
-
-# Rows of a bracket array, one column per angle.  For each end, ``a`` (short)
-# and ``b`` (far): the angle and its chord minus eps, weighted for the regula
-# falsi.  Then which end moved last (-1 ``a``, 1 ``b``), and the clear angles:
-# checked angles whose chords fall short of or pass eps by more than
-# ``_ROUNDING``, so that every midpoint of the halvings at or below the first
-# is short and at or above the second far, whatever the rounding.
-_A, _B, _LAST, _C0, _C1 = 0, 2, 4, 5, 6
-
-
-def _new_brackets(eps: float, n: int) -> np.ndarray:
-    """Brackets ``[0, pi]`` for ``n`` angles: the chord is 0 at t = 0 and 2
-    at the antipode, up to rounding there."""
-    bracket = np.zeros((7, n))
-    bracket[[_B, _C1]] = math.pi
-    bracket[_A + 1], bracket[_B + 1] = -eps, 2.0 - eps
-    return bracket
-
-
-def _clear(bracket: np.ndarray, t: np.ndarray, f: np.ndarray) -> None:
-    """Tighten the clear angles in place by angles ``t``, one or more per
-    column, whose chords minus ``eps`` are ``f``."""
-    c0, c1 = bracket[_C0], bracket[_C1]
-    for t, f in zip(t.reshape(-1, c0.size), f.reshape(-1, c0.size)):
-        np.copyto(c0, t, where=(f < -_ROUNDING) & (t > c0))
-        np.copyto(c1, t, where=(f > _ROUNDING) & (t < c1))
-
-
-def _tighten(bracket: np.ndarray, t: np.ndarray, f: np.ndarray) -> None:
-    """Tighten the brackets in place by angles ``t`` whose chord minus
-    ``eps`` is ``f``: a short ``t`` above ``a`` becomes ``a``, a far one below
-    ``b`` becomes ``b``.  An end kept while the other moves a second time in
-    a row is weighted down (Anderson-Bjorck)."""
-    a, b, last = bracket[_A], bracket[_B], bracket[_LAST]
-    far = f >= 0.0
-    up, down = ~far & (t > a), far & (t < b)
-    for end, move, other, again in ((_A, up, _B, last < 0), (_B, down, _A, last > 0)):
-        at, weight = bracket[end:end + 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            shrink = 1.0 - f / weight
-        w = bracket[other + 1]
-        np.multiply(w, np.where(shrink > 0.0, shrink, 0.5), out=w, where=move & again)
-        np.copyto(at, t, where=move)
-        np.copyto(weight, f, where=move)
-    last[...] = down
-    last -= up
-    _clear(bracket, t, f)
-
-
-def _secant(bracket: np.ndarray) -> np.ndarray:
-    """The next estimate: the weighted regula falsi of ``[a, b]``."""
-    a, wa, b, wb = bracket[_A:_B + 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return a - wa * (b - a) / (wb - wa)
-
-
-def _checked_partners(norm: Norm, eps: float, x: np.ndarray, thetas: np.ndarray,
-                      sides: np.ndarray, a=None, b=None) -> np.ndarray:
-    """The partners, bit for bit ``_partners`` on ``[0, pi]``, from brackets
-    ``[a, b]`` checked at both ends, or without them from ``_FALSI_STEPS``
-    regula falsi steps.
-
-    The secant through each bracket falls in a last bracket (cell) of the
-    halvings, checked at both ends in one call; a failed check tightens the
-    bracket for the next secant.  The rows still open after ``_CELL_TRIES``
-    cells, or where the chord is too flat for a cell to decide, share one run
-    of ``_partners`` from their clear angles.  At ``eps = 2`` the chord is
-    flat at the antipode, so every midpoint is evaluated.
-    """
-    if eps == 2.0:
-        return _partners(norm, eps, x, thetas, sides, 0.0, math.pi)
-    rows = np.arange(thetas.size)
-    bracket = _new_brackets(eps, rows.size)
-
-    def f(at: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Chord minus ``eps`` at ``t`` for the angles ``rows[at % rows.size]``."""
-        at = rows[at % rows.size]
-        return _chords(norm, x[at], thetas[at], sides[at], t) - eps if at.size else t
-    if a is not None:
-        ft = f(np.arange(2 * rows.size), np.concatenate([a, b]))
-        _tighten(bracket, a, ft[:rows.size])
-        _tighten(bracket, b, ft[rows.size:])
-    else:
-        for _ in range(_FALSI_STEPS):
-            t = _secant(bracket)
-            _tighten(bracket, t, f(np.arange(rows.size), t))
-    partners = _secant(bracket)
-    parked = []
-    for _ in range(_CELL_TRIES):
-        cell = np.concatenate(_cell(_secant(bracket)))
-        partners[rows] = cell[rows.size:]
-        # chords minus eps at both ends; an end at or past a clear angle
-        # needs no norm call
-        known = np.concatenate([cell[:rows.size] <= bracket[_C0],
-                                cell[rows.size:] >= bracket[_C1]])
-        fc = np.repeat([-np.inf, np.inf], rows.size)
-        fc[~known] = f(np.flatnonzero(~known), cell[~known])
-        _clear(bracket, cell, fc)
-        f_lo, f_hi = fc[:rows.size], fc[rows.size:]
-        hit = ~(f_lo >= 0.0) & (f_hi >= 0.0)
-        # a cell decides only if the chord rises across it by more than
-        # rounding; else the midpoints next to it may round the other way
-        flat = np.flatnonzero(hit & ~(f_hi - f_lo > _ROUNDING))
-        parked.append((rows[flat], bracket[[_C0, _C1]][:, flat]))
-        # a far lo or else a short hi tightens the bracket
-        miss = ~hit
-        probe = np.where(f_lo >= 0.0, 0, rows.size) + np.arange(rows.size)
-        rows, bracket = rows[miss], bracket[:, miss]
-        if not rows.size:
-            break
-        _tighten(bracket, cell[probe[miss]], fc[probe[miss]])
-    left = np.concatenate([rows] + [r for r, _ in parked])
-    if left.size:
-        clear = np.concatenate([bracket[[_C0, _C1]]] + [c for _, c in parked], axis=1)
-        partners[left] = _partners(norm, eps, x[left], thetas[left], sides[left], *clear)
-    return partners
+    def gap(t: np.ndarray, at: np.ndarray):
+        if t.shape[1] == 1 and t.max() < math.pi:  # the chord at t = 0 is exactly 0
+            v = chord_gap(at, t[:, 0])[:, None]
+        else:
+            v = np.where(t > 0.0, 2.0 - eps, -eps)
+            r, c = np.nonzero((t > 0.0) & (t < math.pi))
+            if r.size:
+                v[r, c] = chord_gap(at[r], t[r, c])
+        return v >= 0.0 if flat else (v >= 0.0, v)
+    zeros = np.zeros_like(thetas)
+    return bracket_search(gap, zeros, zeros + math.pi, guess=None if flat else guess)[1]
 
 
 def _fitted_bracket(table: np.ndarray, sides: np.ndarray, pos: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """A bracket ``[a, b]`` around a cubic fit of ``table`` for
-    ``_checked_partners``.
+    """A bracket ``[a, b]`` around a cubic fit of ``table``, the guess of
+    ``_partners``.
 
     ``table`` holds known partners at equal angle steps, one periodic row per
     side (+1, then -1), and ``pos`` the position of each angle in steps.  The
@@ -316,7 +148,7 @@ def _best_sum(norm: Norm, eps: float, resolution: int) -> float:
     thetas = np.tile(np.arange(resolution) * step, 2)
     sides = np.repeat([1.0, -1.0], resolution)
     x = radial_points_vec(norm, thetas)
-    partners = _checked_partners(norm, eps, x, thetas, sides)
+    partners = _partners(norm, eps, x, thetas, sides)
     sums = norm(x + radial_points_vec(norm, thetas + sides * partners))
     best = float(sums.max())
     table, grid_step = partners.reshape(2, resolution), step
@@ -328,8 +160,8 @@ def _best_sum(norm: Norm, eps: float, resolution: int) -> float:
         sides = np.repeat(sides[top], _ZOOM_POINTS)
         step *= 2.0 / (_ZOOM_POINTS - 1)
         x = radial_points_vec(norm, thetas)
-        partners = _checked_partners(norm, eps, x, thetas, sides,
-                                     *_fitted_bracket(table, sides, thetas / grid_step))
+        partners = _partners(norm, eps, x, thetas, sides,
+                             _fitted_bracket(table, sides, thetas / grid_step))
         sums = norm(x + radial_points_vec(norm, thetas + sides * partners))
         best = max(best, float(sums.max()))
     return best
@@ -405,6 +237,8 @@ class ModulusCurve:
 
 
 def modulus_curve(norm: Norm, eps_values, resolution: int = 512) -> ModulusCurve:
+    """``modulus_of_convexity`` at each of ``eps_values``, in order, at the
+    given ``resolution``; each value is what the single call returns."""
     vals = [(float(e), modulus_of_convexity(norm, float(e), resolution))
             for e in eps_values]
     return ModulusCurve(norm.kind, tuple(vals))

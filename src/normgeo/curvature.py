@@ -119,9 +119,9 @@ def _points_at_distances(ambient: Norm, curve: ClosedCurve, t0: float, deltas):
     rows, crossings = np.nonzero(changes)  # two per radius, in schedule order
     below, level = sign_lo[rows, crossings, None], level[rows]
 
-    def crossed(t: np.ndarray):
-        gap = ambient(curve.points(t.ravel()) - x).reshape(t.shape) - level
-        return (gap < 0.0) != below, np.where(below, gap, -gap)
+    def crossed(t: np.ndarray, at: np.ndarray):
+        gap = ambient(curve.points(t.ravel()) - x).reshape(t.shape) - level[at]
+        return (gap < 0.0) != below[at], np.where(below[at], gap, -gap)
 
     # each crossing between the grid nodes whose signs differ
     ends = np.append(ts, ts[0] + curve.period)

@@ -169,9 +169,21 @@ class Norm:
         return {"kind": self.kind, **self.payload()}
 
 
+# From this p on, the power sum rounds to its largest term, so (1, 1) and
+# (1, 1, 1) evaluate to 1.0 as under the max norm; yet a finite p reports no
+# corners, so the sphere is measured as a smooth one (own-norm circumference
+# 7.99694 at 4099 samples, where p = "inf" gives 8 to rounding).  Such a p
+# must be "inf".
+_HUGE_P = 2.0 ** 54
+
+
 @dataclass(frozen=True)
 class PNorm(Norm):
-    """The p-norm ``(sum |v_i|^p)^(1/p)``; ``p = inf`` gives the max norm."""
+    """The p-norm ``(sum |v_i|^p)^(1/p)``; ``p = inf`` gives the max norm.
+
+    A finite ``p`` must be below ``2**54``, from where it evaluates as the
+    max norm does.
+    """
 
     p: float
     dim: int = 2
@@ -180,6 +192,9 @@ class PNorm(Norm):
     def __post_init__(self):
         if not (self.p >= 1.0):
             raise ValueError(f"p must be >= 1, got {self.p}")
+        if _HUGE_P <= self.p < math.inf:
+            raise ValueError(f"p = {self.p!r} evaluates as the max norm; "
+                             f"use p = 'inf' for it")
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
 
@@ -480,9 +495,9 @@ class LensNorm(Norm):
         lo = grid[cross]
         hi = lo + float(grid[1] - grid[0])
 
-        def crossed(t: np.ndarray):
+        def crossed(t: np.ndarray, at: np.ndarray):
             d = diff(t.ravel()).reshape(t.shape)
-            return (d <= 0.0) != rising, np.where(rising, d, -d)
+            return (d <= 0.0) != rising[at], np.where(rising[at], d, -d)
 
         lo, hi = bracket_search(crossed, lo, hi, xtol=_CORNER_XTOL)
         roots = (0.5 * (lo + hi)) % TWO_PI

@@ -171,7 +171,7 @@ def _both_sides(alphas: np.ndarray, pred, xtol: float = DEFAULT_TOLS.angle) -> n
     start = np.repeat(alphas, 2)[:, None]
     back = np.tile([False, True], len(alphas))[:, None]
     zeros = np.zeros(2 * len(alphas))
-    return bracket_search(lambda t: pred(start + np.where(back, TWO_PI - t, t)),
+    return bracket_search(lambda t, at: pred(start[at] + np.where(back[at], TWO_PI - t, t)),
                           zeros, zeros + math.pi, xtol=xtol)[1]
 
 
@@ -257,8 +257,8 @@ def is_flat(norm: Norm, x: SpherePoint, radius: float = 1e-3) -> bool:
     xv = x.vec
     side = np.array([[1.0], [-1.0]])
 
-    def beyond(t):
-        pts = radial_points_vec(norm, (alpha + side * t).ravel())
+    def beyond(t, at):
+        pts = radial_points_vec(norm, (alpha + side[at] * t).ravel())
         gap = norm(xv - pts).reshape(t.shape) - radius
         return gap > 0.0, gap
 
@@ -336,7 +336,7 @@ def bisector_points(norm: Norm, x: SpherePoint) -> BisectorPair:
         s = radial_points_vec(norm, (alpha + t).ravel())
         return (norm(s - xv) - norm(s + xv)).reshape(t.shape)
 
-    def rising(t):
+    def rising(t, at):
         gt = g(t)
         return gt > 0.0, gt
 
@@ -346,8 +346,8 @@ def bisector_points(norm: Norm, x: SpherePoint) -> BisectorPair:
     # the tie interval's edges: forward from 0 and backward from pi, together
     back = np.array([[False], [True]])
 
-    def tied(u):
-        slack = _BISECTOR_TIE - np.abs(g(np.where(back, math.pi - u, u)))
+    def tied(u, at):
+        slack = _BISECTOR_TIE - np.abs(g(np.where(back[at], math.pi - u, u)))
         return slack >= 0.0, slack
 
     hi = bracket_search(tied, [0.0, 0.0], [root, math.pi - root],

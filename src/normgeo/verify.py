@@ -23,6 +23,29 @@ from .sphere import (arc_hausdorff, diametral_set, maximal_segments,
 
 __all__ = ["ClaimResult", "VerificationReport", "run_reference_checks"]
 
+# Claim bounds, each set by what limits the computed value.  Exact: norms of
+# sums of one-decimal vectors, and the hexagon gauge at rational points, a
+# few roundings of numbers of size 2.  Closed form: the cube-norm closed
+# forms, cube roots and a 3x3 determinant, a few ulps each.  Norm: norm
+# evaluations of size 2 through trigonometric points (the revolution
+# sphere's equidistant circle) and hexagon face lengths between computed
+# vertices.
+_EXACT_BOUND, _CLOSED_FORM_BOUND, _NORM_BOUND = 1e-15, 1e-12, 1e-10
+# Ridge points come from a bisection in profile angle to DEFAULT_TOLS.angle:
+# their first coordinates agree to the first bound, and their chord
+# distances, which compound two points' errors, to the second.
+_RIDGE_PLANE_BOUND, _RIDGE_CHORD_BOUND = 1e-10, 1e-9
+# The hexagon's own-norm circumference, 4096 chord lengths summed; curvature
+# from chord ratios at finite radii, the fit's truncation error; and the
+# distance-2 set against the negated star, two arc searches each merged to
+# DEFAULT_TOLS.arc_merge in angle.
+_CIRCUMFERENCE_BOUND, _CURVATURE_BOUND, _ARC_BOUND = 1e-9, 1e-3, 1e-6
+# The ridge search stays this far from the profile's poles, where every
+# azimuth lifts to the same point of the axis; pairs of the equidistant
+# circle closer than the second gap are skipped, since normalising their
+# difference would magnify its rounding.
+_POLE_GAP, _MIN_PAIR_GAP = 1e-12, 1e-9
+
 
 @dataclass(frozen=True)
 class ClaimResult:
@@ -78,13 +101,13 @@ def _check_maxnorm_table(claims: list[ClaimResult]) -> None:
     y = np.array([[1.0, -1.0, 0.1], [1.0, -1.0, -0.1]])
     worst_sum = max(abs(norm(v[i] + y[j]) - 2.0) for i in range(3) for j in range(2))
     _claim(claims, "maxnorm-sum-table", "all six sums have max norm 2",
-           0.0, worst_sum, 1e-15, "exact arithmetic")
+           0.0, worst_sum, _EXACT_BOUND, "exact arithmetic")
     worst_diff = max(abs(norm(v[i] - y[j]) - 2.0) for i in range(2) for j in range(2))
     _claim(claims, "maxnorm-diff-table", "first-two differences have max norm 2",
-           0.0, worst_diff, 1e-15, "exact arithmetic")
+           0.0, worst_diff, _EXACT_BOUND, "exact arithmetic")
     worst_third = max(abs(norm(v[2] - y[j]) - 1.9) for j in range(2))
     _claim(claims, "maxnorm-third-row", "third-row differences have max norm 1.9",
-           0.0, worst_third, 1e-15, "exact arithmetic")
+           0.0, worst_third, _EXACT_BOUND, "exact arithmetic")
 
 
 def _check_cubenorm_basis(claims: list[ClaimResult]) -> None:
@@ -98,10 +121,10 @@ def _check_cubenorm_basis(claims: list[ClaimResult]) -> None:
     values = [norm(b - x) for b in basis] + [norm(b + x) for b in basis]
     worst = max(abs(val - expected) for val in values)
     _claim(claims, "cubenorm-equidistant", "six distances equal the closed form",
-           0.0, worst, 1e-12, "closed form")
+           0.0, worst, _CLOSED_FORM_BOUND, "closed form")
     det = abs(float(np.linalg.det(basis)))
     _claim(claims, "cubenorm-independent", "equidistant triple is a basis (|det|)",
-           abs(c ** 3 - 3 * c - 2) / 6.0, det, 1e-12, "closed form")
+           abs(c ** 3 - 3 * c - 2) / 6.0, det, _CLOSED_FORM_BOUND, "closed form")
 
 
 def _ridge_points(samples: int) -> np.ndarray:
@@ -113,16 +136,16 @@ def _ridge_points(samples: int) -> np.ndarray:
     phis = np.linspace(0.0, TWO_PI, samples, endpoint=False)
     cp, sp = np.cos(phis)[:, None], np.sin(phis)[:, None]
 
-    def lift(psi: np.ndarray) -> np.ndarray:  # (samples, k) angles -> points
+    def lift(psi: np.ndarray, at) -> np.ndarray:  # (m, k) angles of azimuths at -> points
         ar = radial_points_vec(profile, psi.ravel()).reshape(*psi.shape, 2)
-        return np.stack([ar[..., 0], ar[..., 1] * cp, ar[..., 1] * sp], axis=-1)
+        return np.stack([ar[..., 0], ar[..., 1] * cp[at], ar[..., 1] * sp[at]], axis=-1)
 
-    def beyond(psi: np.ndarray) -> np.ndarray:
-        return norm(lift(psi).reshape(-1, 3) - e1).reshape(psi.shape) - 1.0 > 0.0
+    def beyond(psi: np.ndarray, at: np.ndarray) -> np.ndarray:
+        return norm(lift(psi, at).reshape(-1, 3) - e1).reshape(psi.shape) - 1.0 > 0.0
 
-    lo, hi = bracket_search(beyond, np.full(samples, 1e-12),
-                            np.full(samples, math.pi - 1e-12), xtol=DEFAULT_TOLS.angle)
-    return lift(0.5 * (lo + hi)[:, None])[:, 0]
+    lo, hi = bracket_search(beyond, np.full(samples, _POLE_GAP),
+                            np.full(samples, math.pi - _POLE_GAP), xtol=DEFAULT_TOLS.angle)
+    return lift(0.5 * (lo + hi)[:, None], slice(None))[:, 0]
 
 
 def _check_revolution_ridge(claims: list[ClaimResult], samples: int) -> None:
@@ -132,7 +155,7 @@ def _check_revolution_ridge(claims: list[ClaimResult], samples: int) -> None:
     spread = float(np.abs(pts[:, 0] - 0.5).max())
     _claim(claims, "revolution-ridge-planar",
            "ridge circle lies in a plane of constant first coordinate",
-           0.0, spread, 1e-10, "independent oracle")
+           0.0, spread, _RIDGE_PLANE_BOUND, "independent oracle")
     phis = np.linspace(0.0, TWO_PI, samples, endpoint=False)
     worst = 0.0
     for i in range(0, samples, 7):
@@ -142,7 +165,7 @@ def _check_revolution_ridge(claims: list[ClaimResult], samples: int) -> None:
         worst = max(worst, float(np.abs(dist - target).max()))
     _claim(claims, "revolution-ridge-round",
            "ridge chord distances follow the round-circle law",
-           0.0, worst, 1e-9, "closed form")
+           0.0, worst, _RIDGE_CHORD_BOUND, "closed form")
 
 
 def _check_revolution_bisector(claims: list[ClaimResult], pairs: int,
@@ -156,19 +179,19 @@ def _check_revolution_bisector(claims: list[ClaimResult], pairs: int,
     membership = float(np.abs(norm(ring - e1) - norm(ring + e1)).max())
     _claim(claims, "revolution-bisector-membership",
            "the unit circle of the axis-orthogonal plane is equidistant from +-e1",
-           0.0, membership, 1e-10, "exact arithmetic")
+           0.0, membership, _NORM_BOUND, "exact arithmetic")
     worst = 0.0
     for i in range(pairs):
         z, zp = ring[2 * i], ring[2 * i + 1]
         d = z - zp
         nd = float(norm(d))
-        if nd < 1e-9:
+        if nd < _MIN_PAIR_GAP:
             continue
         u = d / nd
         worst = max(worst, abs(float(norm(u - e1)) - float(norm(u + e1))))
     _claim(claims, "revolution-bisector-closure",
            "normalised differences of equidistant points stay equidistant",
-           0.0, worst, 1e-10, "exact arithmetic")
+           0.0, worst, _NORM_BOUND, "exact arithmetic")
 
 
 def _check_circle_curvature(claims: list[ClaimResult]) -> None:
@@ -177,20 +200,20 @@ def _check_circle_curvature(claims: list[ClaimResult]) -> None:
         est = normed_curvature(ambient, circle_curve(lam), 0.3)
         _claim(claims, f"circle-curvature-{lam}",
                f"curvature of the round circle of radius {lam}",
-               1.0 / lam, float(est.value), 1e-3, "closed form")
+               1.0 / lam, float(est.value), _CURVATURE_BOUND, "closed form")
 
 
 def _check_hexagon_facts(claims: list[ClaimResult]) -> None:
     hexn = hexagonal_norm()
     _claim(claims, "hexagon-circumference",
            "hexagon sphere has own-norm length 6",
-           6.0, self_circumference(hexn, 4096), 1e-9, "exact arithmetic")
+           6.0, self_circumference(hexn, 4096), _CIRCUMFERENCE_BOUND, "exact arithmetic")
     segs = maximal_segments(hexn)
     _claim(claims, "hexagon-face-count", "hexagon sphere has 6 maximal segments",
            6.0, float(len(segs)), 0.0, "exact arithmetic")
     worst = max(abs(s.length - 1.0) for s in segs)
     _claim(claims, "hexagon-face-length", "every hexagon face has own-norm length 1",
-           0.0, worst, 1e-10, "exact arithmetic")
+           0.0, worst, _NORM_BOUND, "exact arithmetic")
 
 
 def _check_diametral_star(claims: list[ClaimResult]) -> None:
@@ -203,17 +226,17 @@ def _check_diametral_star(claims: list[ClaimResult]) -> None:
     gap = arc_hausdorff(dset, st.negated())
     _claim(claims, "diametral-is-negated-star",
            "distance-2 set equals the negated star",
-           0.0, gap, 1e-6, "independent oracle")
+           0.0, gap, _ARC_BOUND, "independent oracle")
     # witness: x' = (-1/2, 1) sits at distance 2 from x = (1, 0), yet the
     # segment joining -x and -x' leaves the sphere (its midpoint norm is 1/2)
     xp = np.array([-0.5, 1.0])
     _claim(claims, "diametral-witness-distance",
            "witness point lies at chordal distance 2",
-           2.0, float(hexn(x.vec - xp)), 1e-15, "exact arithmetic")
+           2.0, float(hexn(x.vec - xp)), _EXACT_BOUND, "exact arithmetic")
     mid = 0.5 * ((-x.vec) + (-xp))
     _claim(claims, "diametral-same-sign-bracket-fails",
            "midpoint norm of the same-sign bracket (1/2, not 1)",
-           0.5, float(hexn(mid)), 1e-15, "exact arithmetic")
+           0.5, float(hexn(mid)), _EXACT_BOUND, "exact arithmetic")
 
 
 # Random pairs of the equidistant circle whose normalised differences the

@@ -5,7 +5,7 @@ import pytest
 
 from normgeo import (EuclideanNorm, LensNorm, Norm, PNorm, PolygonNorm, convexity,
                      diamond_norm, hexagonal_norm, is_strictly_convex,
-                     modulus_curve, modulus_of_convexity, square_norm)
+                     modulus_curve, modulus_of_convexity, numerics, square_norm)
 from normgeo.charts import LinearImageNorm
 from normgeo.norms import HEX_VERTICES, radial_points_vec
 
@@ -315,7 +315,7 @@ def test_first_grid_partner_sums_equal_the_lockstep_search(name):
     thetas, sides = first_grid(1024)
     x = radial_points_vec(norm, thetas)
     for eps in BRACKET_EPS:
-        partners = convexity._checked_partners(norm, eps, x, thetas, sides)
+        partners = convexity._partners(norm, eps, x, thetas, sides)
         sums = norm(x + radial_points_vec(norm, thetas + sides * partners))
         assert np.array_equal(sums, lockstep_partner_sums(norm, eps, thetas, sides)), eps
 
@@ -323,9 +323,9 @@ def test_first_grid_partner_sums_equal_the_lockstep_search(name):
 @pytest.mark.parametrize("name", BRACKET_SUBJECTS)
 def test_best_sum_equals_the_lockstep_search_with_zooms(name):
     norm = BRACKET_SUBJECTS[name]
-    # at eps = 2 fitted brackets would move the result (the chord is flat at
-    # the antipode), so every midpoint is evaluated there
-    for eps in (1.1, 1.95, 2.0):
+    # at eps = 2 the chord is flat at the antipode, so the search takes the
+    # truths alone there and evaluates every midpoint
+    for eps in (0.5, 1.1, 1.95, 1.99, 2.0):
         assert convexity._best_sum(norm, eps, 64) == lockstep_best_sum(norm, eps, 64), eps
 
 
@@ -349,7 +349,7 @@ def test_wrong_brackets_revert_to_the_plain_search(p3, chord_rows):
     thetas = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)
     sides = np.where(np.arange(40) % 2 == 0, 1.0, -1.0)
     x = radial_points_vec(p3, thetas)
-    plain = convexity._partners(p3, eps, x, thetas, sides, 0.0, math.pi)
+    plain = convexity._partners(p3, eps, x, thetas, sides)
     assert np.array_equal(
         p3(x + radial_points_vec(p3, thetas + sides * plain)),
         lockstep_partner_sums(p3, eps, thetas, sides))
@@ -358,15 +358,15 @@ def test_wrong_brackets_revert_to_the_plain_search(p3, chord_rows):
                  (plain + 0.1, plain - 0.1),    # swapped: both fail
                  (plain - 1e-9, plain + 1e-9)):  # holds it
         chord_rows.clear()
-        got = convexity._checked_partners(p3, eps, x, thetas, sides,
-                                          np.clip(a, 0.0, math.pi), np.clip(b, 0.0, math.pi))
+        got = convexity._partners(p3, eps, x, thetas, sides,
+                                  (np.clip(a, 0.0, math.pi), np.clip(b, 0.0, math.pi)))
         assert np.array_equal(got, plain)
     assert sum(chord_rows) < 20 * thetas.size  # 2 checks and about 16 midpoints per angle
 
 
 def test_fitted_brackets_skip_most_midpoints(p3, chord_rows):
     thetas, sides = first_grid(512)
-    convexity._checked_partners(p3, 1.1, radial_points_vec(p3, thetas), thetas, sides)
+    convexity._partners(p3, 1.1, radial_points_vec(p3, thetas), thetas, sides)
     first = sum(chord_rows)
     chord_rows.clear()
     convexity._best_sum(p3, 1.1, 512)
@@ -378,25 +378,26 @@ def test_fitted_brackets_skip_most_midpoints(p3, chord_rows):
 
 def test_secant_cells_take_few_chords(p3, chord_rows):
     thetas, sides = first_grid(512)
-    convexity._checked_partners(p3, 1.1, radial_points_vec(p3, thetas), thetas, sides)
-    # 12 regula falsi steps and 2 cell ends per angle, a few more where a
-    # cell misses: 13.9 per angle, against 45 without brackets
+    convexity._partners(p3, 1.1, radial_points_vec(p3, thetas), thetas, sides)
+    # the first midpoint, regula falsi steps until the estimates settle and 2
+    # cell ends per angle, a few more where a cell misses: 10.0 per angle
+    # (13.9 with twelve steps always), against 45 without brackets
     assert sum(chord_rows) < 15 * thetas.size
 
 
 @pytest.mark.parametrize("name, eps, first_bound, zoom_bound", [
-    ("hexagonal", 1.1, 15, 9),    # 14.3 per first-grid angle, 8.0 per zoom angle
-    ("hexagonal", 1.5, 17, 30),   # 15.9, 28.2: zoom angles at a kink halve plainly
-    ("hex-image", 1.1, 15, 9),    # 14.2, 8.0
-    ("hex-image", 1.9, 17, 31),   # 16.2, 29.6
-    ("lens", 1.1, 15, 7),         # 14.0, 6.0
-    ("lens", 1.9, 15, 9),         # 14.4, 8.2; 39 if every zoom angle halves plainly
+    ("hexagonal", 1.1, 15, 9),    # 14.2 per first-grid angle, 8.0 per zoom angle
+    ("hexagonal", 1.5, 17, 30),   # 14.6, 28.2: zoom angles at a kink halve plainly
+    ("hex-image", 1.1, 15, 9),    # 14.0, 8.0
+    ("hex-image", 1.9, 17, 31),   # 15.7, 29.6
+    ("lens", 1.1, 15, 7),         # 9.9, 6.0
+    ("lens", 1.9, 15, 9),         # 14.3, 8.2; 39 if every zoom angle halves plainly
 ])
 def test_polygon_and_lens_partners_take_few_chords(name, eps, first_bound, zoom_bound,
                                                    chord_rows):
     norm = BRACKET_SUBJECTS[name]
     thetas, sides = first_grid(512)
-    convexity._checked_partners(norm, eps, radial_points_vec(norm, thetas), thetas, sides)
+    convexity._partners(norm, eps, radial_points_vec(norm, thetas), thetas, sides)
     first = sum(chord_rows)
     assert first < first_bound * thetas.size
     chord_rows.clear()
@@ -408,26 +409,31 @@ def test_polygon_and_lens_partners_take_few_chords(name, eps, first_bound, zoom_
 @pytest.mark.parametrize("estimate", ["cell low", "cell high", "nan", "at a", "at b"])
 @pytest.mark.parametrize("bracketed", [True, False])
 def test_missed_cells_keep_the_lockstep_partners(p3, monkeypatch, estimate, bracketed):
-    """Secant estimates forced one cell below or above the partner, to NaN
-    or to a bracket end miss every cell; the failed ends tighten the bracket
-    and the partners stay those of the lockstep search."""
-    eps = 1.1
+    """Regula falsi estimates forced one cell below or above the partner, to
+    NaN or to a bracket end miss every cell; the failed ends tighten the
+    bracket and the partners stay those of the lockstep search.  Each angle
+    is searched as 24 copies, so that the many-bracket path runs."""
+    eps, copies = 1.1, 24
     thetas = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
     sides = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
     x = radial_points_vec(p3, thetas)
-    plain = convexity._partners(p3, eps, x, thetas, sides, 0.0, math.pi)
-    below = convexity._cell(plain)[0]  # the lockstep's last lo: one cell low
+    plain = convexity._partners(p3, eps, x, thetas, sides)
+    # the lockstep's last lo: one cell low
+    below = numerics._cell(plain, 1e-13, None, np.zeros(12), np.full(12, math.pi))[0]
     got = np.empty_like(plain)
     for i in range(thetas.size):
-        forced = {"cell low": lambda br: np.full(1, below[i]),
-                  "cell high": lambda br: np.nextafter(plain[i:i + 1], 4.0),
-                  "nan": lambda br: np.full(1, math.nan),
-                  "at a": lambda br: br[convexity._A],
-                  "at b": lambda br: br[convexity._B]}[estimate]
-        monkeypatch.setattr(convexity, "_secant", forced)
-        ends = (plain[i:i + 1] - 1e-9, plain[i:i + 1] + 1e-9) if bracketed else ()
-        got[i] = convexity._checked_partners(p3, eps, x[i:i + 1], thetas[i:i + 1],
-                                             sides[i:i + 1], *ends)[0]
+        forced = {"cell low": lambda s: np.full(s.shape[1], below[i]),
+                  "cell high": lambda s: np.full(s.shape[1], np.nextafter(plain[i], 4.0)),
+                  "nan": lambda s: np.full(s.shape[1], math.nan),
+                  "at a": lambda s: s[numerics._A],
+                  "at b": lambda s: s[numerics._B]}[estimate]
+        monkeypatch.setattr(numerics, "_secant", forced)
+        one = np.full(copies, i)
+        guess = (np.full(copies, plain[i] - 1e-9), np.full(copies, plain[i] + 1e-9))
+        partners = convexity._partners(p3, eps, x[one], thetas[one], sides[one],
+                                       guess if bracketed else None)
+        assert np.all(partners == partners[0])
+        got[i] = partners[0]
     assert np.array_equal(p3(x + radial_points_vec(p3, thetas + sides * got)),
                           lockstep_partner_sums(p3, eps, thetas, sides))
 
@@ -444,7 +450,7 @@ def test_first_grid_partners_equal_the_lockstep_search_where_rounding_decides(na
     norm = BRACKET_SUBJECTS[name]
     thetas, sides = first_grid(1024)
     x = radial_points_vec(norm, thetas)
-    partners = convexity._checked_partners(norm, eps, x, thetas, sides)
+    partners = convexity._partners(norm, eps, x, thetas, sides)
     sums = norm(x + radial_points_vec(norm, thetas + sides * partners))
     assert np.array_equal(sums, lockstep_partner_sums(norm, eps, thetas, sides))
 

@@ -134,9 +134,9 @@ def per_radius_points(ambient, curve, t0, deltas):
             raise TwoPointConditionError(delta, len(crossings))
         below = sign_lo[crossings, None]
 
-        def crossed(t, delta=delta, below=below):
+        def crossed(t, at, delta=delta, below=below):
             gap = ambient(curve.points(t.ravel()) - x).reshape(t.shape) - delta
-            return (gap < 0.0) != below
+            return (gap < 0.0) != below[at]
 
         lo, hi = bracket_search(crossed, ends[crossings], ends[crossings + 1], xtol=0.0)
         pa, pb = curve.points(0.5 * (lo + hi))

@@ -518,3 +518,17 @@ def test_builtin_norm_names():
         builtin_norm("wat")
     with pytest.raises(ValueError, match="unknown builtin norm 'pabc'"):
         builtin_norm("pabc")
+
+
+@pytest.mark.parametrize("p", [2.0 ** 54, 1e20, 1e308])
+def test_finite_p_that_evaluates_as_the_max_norm_is_refused(p):
+    with pytest.raises(ValueError, match=re.escape(f"p = {p!r} evaluates as the max norm")):
+        PNorm(p, 2)
+    with pytest.raises(ValueError, match="use p = 'inf'"):
+        PNorm(p, 3)
+
+
+def test_largest_finite_p_still_evaluates():
+    below = float(np.nextafter(2.0 ** 54, 0.0))
+    assert PNorm(below, 3)(np.array([1.0, 1.0, 1.0])) >= 1.0
+    assert PNorm(math.inf, 2)(np.array([1.0, 1.0])) == 1.0

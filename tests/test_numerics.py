@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normgeo import (bisector_points, diametral_set, isometry, isometry_group, is_flat,
-                     radial_point, sphere, star)
+                     numerics, radial_point, sphere, star)
 from normgeo.numerics import (bisect_first_true, bisect_root, bisect_root_tight,
                               bracket_search, golden_max)
 
@@ -126,9 +126,9 @@ def arctan_search(roots, valued):
     values when ``valued``, and the list of the shapes it is called on."""
     calls = []
 
-    def pred(x):
+    def pred(x, at):
         calls.append(x.shape)
-        v = np.arctan(x - np.asarray(roots)[:, None])
+        v = np.arctan(x - np.asarray(roots)[at, None])
         return (v >= 0.0, v) if valued else v >= 0.0
     return pred, calls
 
@@ -178,29 +178,85 @@ def test_bracket_search_speculates_on_values():
     pred, shapes = arctan_search(np.ones(6), True)
     bracket_search(pred, np.zeros(6), np.full(6, 3.0))
     assert len(shapes) <= 4  # 15 calls of 3 levels without values
-    pred, shapes = arctan_search(np.ones(40), True)  # many brackets: no spines
-    bracket_search(pred, np.zeros(40), np.full(40, 3.0))
-    assert shapes[0] == (40, 3) and set(shapes[1:]) == {(40, 1)}
+    # many brackets: the first midpoint, regula falsi steps and one cell
+    # each, where plain bisection takes 45 calls
+    pred, shapes = arctan_search(np.ones(40), True)
+    lo, hi = bracket_search(pred, np.zeros(40), np.full(40, 3.0))
+    plain = bracket_search(arctan_search(np.ones(40), False)[0], np.zeros(40), np.full(40, 3.0))
+    assert np.array_equal(lo, plain[0]) and np.array_equal(hi, plain[1])
+    assert shapes[0] == (40, 3) and len(shapes) <= 1 + numerics._FALSI_STEPS + 1
+
+
+# A level a hair above 1/3, the boundary of every synthetic shape below.
+SHAPE_ROOT = 0.3333333333333337
+
+
+def shaped_values(shape, x):
+    """Values that rise through zero at ``SHAPE_ROOT``: smooth, flat at the
+    level on the high side (a polygon's chord along a face), or smooth with
+    +-2 ulps of noise drawn from the bits of ``x``."""
+    d = x - SHAPE_ROOT
+    if shape == "flat":
+        return np.where(d < 0.0, np.sin(d), 0.0)
+    if shape == "noisy":
+        ulps = (x.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(61)
+        return np.sin(d) + (ulps.astype(float) - 3.5) * np.spacing(x) * 4.0 / 7.0
+    return np.sin(d)
+
+
+GUESSES = {"no guess": None,
+           "right guess": (SHAPE_ROOT - 1e-9, SHAPE_ROOT + 1e-9),
+           "wrong guess": (2.0, 2.5)}
+
+
+@pytest.mark.parametrize("guess", GUESSES)
+@pytest.mark.parametrize("shape", ["smooth", "flat", "noisy"])
+def test_many_brackets_with_values_are_plain_bisection(shape, guess):
+    """From 22 brackets, values add regula falsi steps and cells; each
+    bracket still ends bit for bit where the truths alone send it, and the
+    calls stay within the truth-only count plus the speculation's own."""
+    rows = 30
+    lo = np.linspace(-1.0, 0.3, rows)
+    hi = np.linspace(0.4, 3.0, rows)
+    calls = []
+
+    def pred(x, at, valued):
+        calls.append(x.shape)
+        v = shaped_values(shape, x)
+        return (v >= 0.0, v) if valued else v >= 0.0
+
+    pair = None if GUESSES[guess] is None else tuple(np.full(rows, g) for g in GUESSES[guess])
+    plain = bracket_search(lambda x, at: pred(x, at, False), lo, hi)
+    plain_calls = len(calls)
+    calls.clear()
+    got = bracket_search(lambda x, at: pred(x, at, True), lo, hi, guess=pair)
+    assert np.array_equal(got[0], plain[0]) and np.array_equal(got[1], plain[1])
+    for k in range(rows):  # and each is plain bisection alone
+        assert (plain[0][k], plain[1][k]) == plain_bisection(
+            lambda t: shaped_values(shape, np.array([t]))[0] >= 0.0, lo[k], hi[k])
+    assert len(calls) <= plain_calls + numerics._FALSI_STEPS + numerics._CELL_TRIES + 1
+    if shape == "smooth" and guess != "wrong guess":  # a cell closes every bracket
+        assert len(calls) <= (2 if guess == "right guess" else 2 + numerics._FALSI_STEPS)
 
 
 def test_bracket_search_to_zero_width_ends_on_adjacent_floats():
-    lo, hi = bracket_search(lambda x: x * x >= 2.0, [1.0, 0.0], [2.0, 1e6], xtol=0.0)
+    lo, hi = bracket_search(lambda x, at: x * x >= 2.0, [1.0, 0.0], [2.0, 1e6], xtol=0.0)
     assert np.array_equal(np.nextafter(lo, np.inf), hi)
     assert np.all(lo * lo < 2.0) and np.all(hi * hi >= 2.0)
 
 
 def test_bracket_search_closes_a_bracket_true_at_its_start():
-    lo, hi = bracket_search(lambda x: x >= 0.0, [0.0, -1.0], [1.0, 1.0])
+    lo, hi = bracket_search(lambda x, at: x >= 0.0, [0.0, -1.0], [1.0, 1.0])
     assert (lo[0], hi[0]) == (0.0, 0.0)
     assert lo[1] < 0.0 <= hi[1]
     starts = np.full(40, -1.0)
     starts[3] = 0.0
-    lo, hi = bracket_search(lambda x: x >= 0.0, starts, np.ones(40))
+    lo, hi = bracket_search(lambda x, at: x >= 0.0, starts, np.ones(40))
     assert (lo[3], hi[3]) == (0.0, 0.0)
     assert np.all(lo <= 0.0) and np.all(hi >= 0.0)
     starts[5] = np.nan
     with pytest.raises(ValueError, match=re.escape("bracket [nan, 1.0]")):
-        bracket_search(lambda x: x >= 0.0, starts, np.ones(40))
+        bracket_search(lambda x, at: x >= 0.0, starts, np.ones(40))
 
 
 FLOAT_MAX = float(np.finfo(float).max)
@@ -215,7 +271,7 @@ def test_bracket_search_ends_across_half_the_float_range(rows):
     for valued in (False, True):
         calls = 0
 
-        def pred(x):
+        def pred(x, at):
             nonlocal calls
             calls += 1
             return (x >= TINY_ROOT, x - TINY_ROOT) if valued else x >= TINY_ROOT
@@ -241,7 +297,7 @@ def test_bracket_search_refuses_brackets_that_are_not_finite(rows):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=re.escape(f"bracket [{a!r}, {b!r}]")):
-                bracket_search(lambda x: x >= 0.5, lo, hi)
+                bracket_search(lambda x, at: x >= 0.5, lo, hi)
     with pytest.raises(ValueError, match=re.escape("bracket [nan, 1.0]")):
         bisect_first_true(lambda t: t >= 0.5, math.nan, 1.0)
 
@@ -258,9 +314,9 @@ def test_bracket_search_always_ends(rows, ends, xtol, seed, magnitude, valued):
     a, b = sorted(ends)
     lo, hi = np.linspace(a, b, rows + 1)[:-1], np.full(rows, b)
 
-    def pred(x):
+    def pred(x, at):
         bits = (x.view(np.uint64) ^ np.uint64(seed)) * np.uint64(0x9E3779B97F4A7C15)
-        truth = ((bits >> np.uint64(40)) & np.uint64(1)).astype(bool) | (x == hi[:, None])
+        truth = ((bits >> np.uint64(40)) & np.uint64(1)).astype(bool) | (x == hi[at, None])
         values = ((bits >> np.uint64(11)).astype(float) / 2.0 ** 53 - 0.5) * magnitude
         return (truth, values) if valued else truth
 
@@ -272,7 +328,7 @@ def test_bracket_search_always_ends(rows, ends, xtol, seed, magnitude, valued):
 
 def test_searches_raise_on_a_bracket_without_a_boundary():
     with pytest.raises(ValueError, match="false on the whole interval"):
-        bracket_search(lambda x: x >= 5.0, [0.0, 0.0], [10.0, 1.0])
+        bracket_search(lambda x, at: x >= 5.0, [0.0, 0.0], [10.0, 1.0])
     with pytest.raises(ValueError, match="false on the whole interval"):
         bisect_first_true(lambda t: t >= 5.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="no sign change"):
@@ -296,9 +352,9 @@ def test_sphere_queries_keep_their_call_budgets(monkeypatch, hexn, p3, lens):
     calls = []
 
     def counted(pred, *args, **kwargs):
-        def pred_counted(x):
+        def pred_counted(x, at):
             calls.append(x.shape)
-            return pred(x)
+            return pred(x, at)
         return bracket_search(pred_counted, *args, **kwargs)
 
     monkeypatch.setattr(sphere, "bracket_search", counted)

@@ -194,7 +194,8 @@ def test_cli_rejects_malformed_file(tmp_path, capsys):
     capsys.readouterr()
     for name, text, message in (
             ("short_offset", '{"kind": "lens", "offset": [1.0]}', "offset must be"),
-            ("no_p", '{"kind": "pnorm"}', "pnorm needs field 'p'")):
+            ("no_p", '{"kind": "pnorm"}', "pnorm needs field 'p'"),
+            ("huge_p", '{"kind": "pnorm", "p": 1e308}', "use p = 'inf'")):
         spec = tmp_path / f"{name}.json"
         spec.write_text(text)
         assert main(["validate", "--norm", str(spec)]) == 2
