@@ -17,16 +17,16 @@ grows monotonically along either half circle, so each ``b1`` has one partner
 faces reach the sum 2 and give exactly 0.
 
 Every partner is the high end of one ``numerics.bracket_search`` of
-``[0, pi]`` to ``DEFAULT_TOLS.angle``: 45 halvings, bit for bit the lockstep
-bisection with a norm call at every midpoint.  The predicate gives the
-chord minus ``eps`` with its truths, so the search speculates: regula falsi
-steps for the first-grid angles, and for the zoom angles a bracket around a
-cubic fit of the first grid's partners, checked at both ends; then cells of
-the halvings checked at both ends, and plain halvings where a cell does not
-decide.  The values only choose which angles to evaluate, so a poor
-estimate costs chord evaluations but never changes a partner.  At
-``eps = 2`` the chord is flat at ``eps`` at the antipode, so the predicate
-gives its truths alone and every midpoint is evaluated.
+``[0, pi]``, closed to ``_PARTNER_XTOL``, with the chord short of ``eps``
+at its low end and at least ``eps`` at its high end.  The predicate gives
+the chord minus ``eps`` with its truths, so the search interpolates
+(Chandrupatla's method) from the first midpoint for the first-grid angles,
+and for the zoom angles from a bracket around a cubic fit of the first
+grid's partners.  The truths decide every side, so a poor estimate costs
+chord evaluations but never misplaces a partner.  At ``eps = 2`` the chord
+is flat at ``eps`` at the antipode, where interpolation has nothing to go
+on: the predicate gives its truths alone, and the search is plain
+bisection to ``DEFAULT_TOLS.angle``, every midpoint evaluated.
 """
 
 from __future__ import annotations
@@ -54,16 +54,21 @@ _FLAT_FLOOR = 2.0 - 1e-12
 # 2pi / (resolution * 32**6), 1.14e-11 at the default resolution.
 _CANDIDATES, _ZOOM_POINTS, _ZOOMS = 4, 65, 6
 # At 64 first-grid angles the round, l_3 and l_1.5 spheres keep their closed
-# forms to 4.3e-14 over eps in [0.05, 1.99], as at 512.
+# forms to 2.4e-15 over eps in [0.05, 1.99], as at 512.
 _MIN_RESOLUTION = 64
 # Half-width of a fitted bracket: 1/16 of the larger 4th difference of the
 # partners around it (a cubic fit errs by about 3/128 of it; from the first
 # grid at the default resolution, by at most 0.04 of it on l_3 and l_1.5) plus
-# 16 last halvings of [0, pi] (pi / 2**45 each), the noise of the partners it
-# is fitted to.  Both set only how many norm calls a partner costs, never which
-# partner is found: on l_3 images 1.5% of the zoom angles miss their fit (sweep
-# inputs).
+# 16 times pi / 2**45 (1.4e-12), far above the noise of the partners it is
+# fitted to.  Both set only how many norm calls a partner costs: the truths
+# decide every partner, within ``_PARTNER_XTOL``, whatever the bracket.
 _FIT_SHARE, _FIT_SLACK = 1.0 / 16.0, 16.0 * math.pi / 2.0 ** 45
+# Width of a partner's bracket.  Chord rounding (~2e-15) puts the last
+# interpolated angle a few 1e-15 from the partner, on either side, and the
+# search then closes at most half its width past it; at 1e-14 the closed
+# forms of the round, l_3 and l_1.5 spheres and their linear images are kept
+# within 5e-15, where 1e-13 left up to 4.6e-14 (l_1.5 images).
+_PARTNER_XTOL = 1e-14
 
 
 def _checked_resolution(norm: Norm, resolution) -> int:
@@ -91,15 +96,14 @@ def _chords(norm: Norm, x: np.ndarray, thetas: np.ndarray, sides: np.ndarray,
 
 def _partners(norm: Norm, eps: float, x: np.ndarray, thetas: np.ndarray,
               sides: np.ndarray, guess=None) -> np.ndarray:
-    """The first ``t`` of ``[0, pi]``, to the last halving, whose chord
+    """The first ``t`` of ``[0, pi]``, to ``_PARTNER_XTOL``, whose chord
     reaches ``eps``, for ``x = s(theta)``: one ``bracket_search``, the
-    partners its high ends.
+    partners its high ends, which ``guess`` may bracket.
 
     The chord is 0 at ``t = 0`` and 2 at the antipode up to rounding, so the
-    ends are answered without a norm call, as plain bisection never
-    evaluates them.  At ``eps = 2`` the chord is flat at ``eps`` there, so no
-    cell could decide: the truths come alone, and every midpoint is
-    evaluated.
+    ends are answered without a norm call.  At ``eps = 2`` the chord is
+    flat at ``eps`` there: the truths come alone, and the search is plain
+    bisection to ``DEFAULT_TOLS.angle``.
     """
     flat = eps == 2.0
 
@@ -116,7 +120,9 @@ def _partners(norm: Norm, eps: float, x: np.ndarray, thetas: np.ndarray,
                 v[r, c] = chord_gap(at[r], t[r, c])
         return v >= 0.0 if flat else (v >= 0.0, v)
     zeros = np.zeros_like(thetas)
-    return bracket_search(gap, zeros, zeros + math.pi, guess=None if flat else guess)[1]
+    if flat:
+        return bracket_search(gap, zeros, zeros + math.pi)[1]
+    return bracket_search(gap, zeros, zeros + math.pi, xtol=_PARTNER_XTOL, guess=guess)[1]
 
 
 def _fitted_bracket(table: np.ndarray, sides: np.ndarray, pos: np.ndarray
@@ -206,11 +212,13 @@ def modulus_of_convexity(norm: Norm, eps: float, resolution: int = 512) -> float
     ``_longest_face``) at least ``eps`` long gives 0 without the search: its
     first point has a partner on it, whose midpoint is on the sphere.
 
-    At the default ``resolution``, for ``eps < 2``: within 1e-13 of the closed
-    forms of the round, l_3 and l_1.5 spheres and their linear images, and
-    within 1.5e-11 on hexagon images (the sum peaks on a kink, so the last
-    zoom's angle step, 1.14e-11, bounds the error).  At ``eps = 2``, where
-    ``delta`` is not Lipschitz, rounding in the chord leaves 7.3e-6 on l_3.
+    At the default ``resolution``, for ``eps < 2``: within 5e-15 of the closed
+    forms of the round, l_3 and l_1.5 spheres and their linear images (4.2e-15
+    at most, measured over 25 eps in [0.05, 1.99] and five seeded images),
+    and within 1.5e-11 on hexagon images (the sum peaks on a kink, so the
+    last zoom's angle step, 1.14e-11, bounds the error; 4.4e-12 measured).
+    At ``eps = 2``, where ``delta`` is not Lipschitz, rounding in the chord
+    leaves 7.3e-6 on l_3.
     """
     if not (0.0 < eps <= 2.0):  # also rejects NaN
         raise ValueError(f"eps must lie in (0, 2], got {eps}")

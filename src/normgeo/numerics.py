@@ -36,6 +36,11 @@ def _closed(lo, hi, xtol):
     return (hi - lo <= xtol) | (mid == lo) | (mid == hi)
 
 
+# From 22 brackets with values, a bracket that this many calls in a row have
+# not halved is halved on the next call.
+_STALL_CALLS = 4
+
+
 def bracket_search(pred: Callable[[np.ndarray, np.ndarray], np.ndarray | tuple], lo, hi,
                    *, xtol: float = DEFAULT_TOLS.angle,
                    guess: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -46,18 +51,20 @@ def bracket_search(pred: Callable[[np.ndarray, np.ndarray], np.ndarray | tuple],
     booleans, False on the ``lo`` side of the boundary and True on the
     ``hi`` side.  The first call takes the ends of every bracket: a bracket
     already True at ``lo`` closes there, and one False at ``hi`` raises
-    ``ValueError``.  The result is bit for bit that of plain bisection of
-    each bracket alone, whatever the batch (for values from 22 brackets on,
-    see below): every midpoint is computed as ``0.5 * (lo + hi)`` of its
-    bracket, and a bracket closes as soon as it is at most ``xtol`` wide or
-    its midpoint rounds onto an end.  ``xtol = 0`` ends on adjacent floats.
+    ``ValueError``.  Every other bracket ends at most ``xtol`` wide, or on
+    adjacent floats (a midpoint ``0.5 * (lo + hi)`` that rounds onto an
+    end), with the predicate False at ``lo`` and True at ``hi``.  A
+    bracket's result depends only on its own evaluations, so it is the same
+    in any batch of the same path.
 
     ``pred`` may instead return a pair ``(truths, values)``: the booleans
     and the signed values they threshold, which rise through zero where
-    the truths turn True (a chord minus its level, say).  The values only
-    choose which abscissae to evaluate, never a result.
+    the truths turn True (a chord minus its level, say).  The truths alone
+    decide which side of the boundary an abscissa lies on; the values only
+    place the abscissae.
 
-    With fewer than 22 brackets, each call evaluates a grid in every
+    With fewer than 22 brackets, the result is bit for bit that of plain
+    bisection of each bracket alone.  Each call evaluates a grid in every
     bracket: the ``2^m - 1`` midpoints that ``m`` rounds of bisection could
     visit, with ``2^m - 1 <= max(1, 64 // n_brackets)``.  Every bracket
     then walks down its grid as bisection would.  With values, each call
@@ -71,35 +78,36 @@ def bracket_search(pred: Callable[[np.ndarray, np.ndarray], np.ndarray | tuple],
     take the way toward the estimate, and one level more, so a good
     estimate closes a bracket in one call.
 
-    From 22 brackets on, the search runs in whole arrays, in stages.  The
-    first call takes the ends with the first midpoint.  Truths alone then
-    give plain vectorised bisection, one midpoint per open bracket per call.
-    Values add speculation before it (``_speculate``): regula falsi steps,
-    ``_FALSI_STEPS`` at most, until every estimate has settled to ``xtol``;
-    then up to ``_CELL_TRIES`` cells per bracket, the last bracket of its
-    halvings that holds the estimate, found by arithmetic and checked at
-    both ends in one call.  A cell decides only where the values rise across
-    it by more than ``_ROUNDING``; the plain halvings close every other
-    bracket, asking only for the midpoints that the clear points (values
-    beyond ``_ROUNDING``) leave open.  This relies on the values being
-    monotone up to ``_ROUNDING``, as computed chords are.
+    From 22 brackets on, the search runs in whole arrays, one abscissa per
+    open bracket per call after the first, which takes the ends with the
+    first midpoint.  Truths alone give plain bisection, bit for bit (of the
+    brackets a guess leaves, when there is one).  With
+    values, each step is Chandrupatla's (Adv. Eng. Software 28 (1997)
+    145-149): the inverse quadratic interpolant through the two ends and
+    the end last replaced, where his test finds it monotone, kept at least
+    ``max(xtol / 2, 2 ulps)`` inside the bracket, so that an estimate on an
+    end still closes it; else the midpoint.  A value that is not finite or
+    has the wrong sign for its truth also gives the midpoint.  A bracket
+    that ``_STALL_CALLS`` calls in a row have not halved is halved on the
+    next call.
 
     ``guess``, a pair of arrays ``(a, b)`` thought to hold each bracket's
-    boundary, is a cost hint and never changes a result.  From 22 brackets
-    it is evaluated on the first call in place of the first midpoint, and
-    with values it replaces the regula falsi steps; fewer brackets do not
-    use it.
+    boundary, is a cost hint: from 22 brackets it is evaluated on the first
+    call in place of the first midpoint, and each of ``a`` and ``b`` that
+    lies inside its bracket replaces the end on its side.  Fewer brackets
+    do not use it.
 
-    A distance-2 set or a star takes 5 to 7 calls (10 from plain grids), a
-    bisector root 3 (9), and curvature's crossings 5 (24).
+    A distance-2 set or a star takes 5 to 7 calls, a bisector 3 or 4 (10
+    from plain grids), and curvature's crossings 5 (24).
 
-    There is no step cap.  Every call of the plain halvings halves each
-    bracket it asks about, and a float bracket reaches adjacent floats
-    within about 2,100 halvings; speculation adds at most
-    ``_FALSI_STEPS + _CELL_TRIES`` calls.  Ends must be finite and of
-    magnitude below ``2**1023``, where no width or midpoint sum overflows; a
-    NaN or infinite end, or a larger one, raises ``ValueError`` naming the
-    first such bracket.
+    There is no step cap.  A call of the plain halvings halves every
+    bracket it asks about, and with values every ``_STALL_CALLS + 1`` calls
+    halve a bracket at least once, so a search with values takes at most
+    about ``_STALL_CALLS + 1`` times the calls of plain bisection; a float
+    bracket reaches adjacent floats within about 2,100 halvings.  Ends must be finite and of magnitude
+    below ``2**1023``, where no width or midpoint sum overflows; a NaN or
+    infinite end, or a larger one, raises ``ValueError`` naming the first
+    such bracket.
 
     Returns the closed brackets ``(lo, hi)``.
     """
@@ -111,13 +119,73 @@ def bracket_search(pred: Callable[[np.ndarray, np.ndarray], np.ndarray | tuple],
         raise ValueError(f"bracket [{float(lo[k])!r}, {float(hi[k])!r}] needs finite "
                          f"ends of magnitude below 2**1023")
     cells = 1 << max(1, (_GRID_BUDGET // max(lo.size, 1) + 1).bit_length() - 1)
-    if cells == 2:
-        if guess is not None:  # inside the brackets; a NaN guess reads as hi
-            guess = [np.fmax(lo, np.fmin(np.asarray(g, dtype=float), hi)) for g in guess]
-        return _vector_search(pred, lo, hi, xtol, guess)
-    if lo.size:
-        return _grid_search(pred, lo.tolist(), hi.tolist(), cells, xtol)
-    return lo, hi
+    if cells > 2:
+        return _grid_search(pred, lo.tolist(), hi.tolist(), cells, xtol) if lo.size else (lo, hi)
+    if guess is not None:  # inside the brackets; a NaN guess reads as hi
+        guess = [np.fmax(lo, np.fmin(np.asarray(g, dtype=float), hi)) for g in guess]
+    ts = np.stack([lo, hi, 0.5 * (lo + hi)] if guess is None else [lo, hi, *guess], axis=1)
+    truth, values = _outcome(pred(ts, np.arange(lo.size)))
+    if not truth[:, 1].all():
+        raise _false_at_hi(lo, hi, int(np.argmin(truth[:, 1])))
+    valued = values is not None
+    # rows: the ends and their values, the end last replaced (c) and its
+    # value, the width when the bracket last halved and the calls since
+    s = np.full((8, lo.size), np.nan)
+    s[0], s[1] = lo, np.where(truth[:, 0], lo, hi)
+    if valued:
+        s[2], s[3] = values[:, 0], values[:, 1]
+
+    def settle(t, v, high, low):
+        """Abscissae ``t`` with values ``v`` become the high ends where
+        ``high`` and the low ends where ``low``; the end replaced is ``c``."""
+        lo, hi, f_lo, f_hi, c, f_c = s[:6]
+        if valued:
+            for mask, end, f_end in ((high, hi, f_hi), (low, lo, f_lo)):
+                np.putmask(c, mask, end)
+                np.putmask(f_c, mask, f_end)
+                np.putmask(f_end, mask, v)
+        np.putmask(hi, high, t)
+        np.putmask(lo, low, t)
+
+    for k in range(2, ts.shape[1]):
+        t, up = ts[:, k], truth[:, k]
+        moves = ~_closed(s[0], s[1], xtol) & (s[0] < t) & (t < s[1])
+        settle(t, values[:, k] if valued else None, moves & up, moves & ~up)
+    out = s[:2].copy()
+    s[6], s[7] = s[1] - s[0], 0.0
+    at = np.flatnonzero(~_closed(s[0], s[1], xtol))
+    s = s[:, at]
+    while at.size:
+        lo, hi, f_lo, f_hi, c, f_c, ref, stall = s
+        t = 0.5 * (lo + hi)
+        if valued:
+            with np.errstate(all="ignore"):
+                # a, the end last moved, lies between b and c
+                new_lo = c < lo
+                a, b = np.where(new_lo, lo, hi), np.where(new_lo, hi, lo)
+                f_a, f_b = np.where(new_lo, f_lo, f_hi), np.where(new_lo, f_hi, f_lo)
+                xi, phi = (a - b) / (c - b), (f_a - f_b) / (f_c - f_b)
+                x = (a + (b - a) * (f_a / (f_b - f_a)) * (f_c / (f_b - f_c))
+                     + (c - a) * (f_a / (f_c - f_a)) * (f_b / (f_c - f_b)))
+                inner_lo = lo + np.maximum(0.5 * xtol, 2.0 * np.spacing(np.abs(lo)))
+                inner_hi = hi - np.maximum(0.5 * xtol, 2.0 * np.spacing(np.abs(hi)))
+                iqi = ((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+                       & (f_lo <= 0.0) & (f_hi >= 0.0) & np.isfinite(x)
+                       & (inner_lo <= inner_hi) & (stall < _STALL_CALLS))
+            t = np.where(iqi, np.clip(x, inner_lo, inner_hi), t)
+        truth, values = _outcome(pred(t[:, None], at))
+        up = truth[:, 0]
+        settle(t, values[:, 0] if valued else None, up, ~up)
+        if valued:
+            halved = ~iqi | (hi - lo <= 0.5 * ref)
+            np.putmask(ref, halved, hi - lo)
+            stall += 1.0
+            np.putmask(stall, halved, 0.0)
+        closed = _closed(lo, hi, xtol)
+        if closed.any():
+            out[:, at[closed]] = s[:2, closed]
+            at, s = at[~closed], s[:, ~closed]
+    return out[0], out[1]
 
 
 def _outcome(out) -> tuple[np.ndarray, np.ndarray | None]:
@@ -283,251 +351,6 @@ def _grid_search(pred, lo: list, hi: list, cells: int, xtol: float):
                 beyond[i] = far = ((row[pa], v(pa)) if pa >= 0 else far[:2]) + (
                     (row[pb], v(pb)) if pb >= 0 else far[2:])
                 guess[i] = _estimate(x, v(ia), y, v(ib), *far)
-
-
-# Anderson-Bjorck regula falsi steps at most, for many brackets with values
-# and no guess, after the first call's midpoint.  The steps stop early once
-# every estimate has settled to xtol: the modulus chords of the round, l_3,
-# l_1.5 and lens spheres settle within 6 to 8 steps at eps <= 1.1, while on
-# polygons and near eps = 2 some never do and the cells take them.
-_FALSI_STEPS = 11
-# Cells tried before the plain halvings: after twelve regula falsi steps,
-# three left at most 0.8% of the first-grid modulus chords open on the smooth
-# spheres and 8.6% on polygons (sweep eps, seeds 3, 7, 11).  Up to 9% more,
-# on l_3, hit a cell across which the chord is flat at its level to
-# rounding; they run the plain halvings too.
-_CELL_TRIES = 3
-# Rounding leaves a computed chord within ~2e-15 of a monotone function of
-# its angle (second differences at three adjacent midpoints, measured on the
-# builtin norms and seeded images).  A value decides the midpoints beyond its
-# abscissa only if it clears zero by more than this bound, and a cell only if
-# the values rise across it by more: else rounding could reorder them.
-_ROUNDING = 2.0 ** -46
-# Rows of the speculation state, one column per bracket: the regula falsi
-# ends ``a`` (False) and ``b`` (True) with their values, weighted down by the
-# Anderson-Bjorck rule; which end moved last (-1 ``a``, 1 ``b``); the clear
-# points ``c0`` and ``c1``, the abscissae whose values fall short of or pass
-# zero by more than ``_ROUNDING``, so that every midpoint at or below the
-# first is False and at or above the second True, whatever the rounding.
-_A, _FA, _B, _FB, _LAST, _C0, _C1 = range(7)
-
-
-def _vector_search(pred, lo: np.ndarray, hi: np.ndarray, xtol: float, guess):
-    """22 brackets or more, in whole arrays: the first call, speculation
-    when the predicate gives values, then the plain halvings."""
-    rows = np.arange(lo.size)
-    mid = 0.5 * (lo + hi)
-    ts = np.stack([lo, hi, mid] if guess is None else [lo, hi, *guess], axis=1)
-    truth, values = _outcome(pred(ts, rows))
-    if not truth[:, 1].all():
-        raise _false_at_hi(lo, hi, int(np.argmin(truth[:, 1])))
-    one = values is not None and lo.min() == lo.max() and hi.min() == hi.max()
-    table = _table(float(lo[0]), float(hi[0]), xtol) if one else None
-    hi = np.where(truth[:, 0], lo, hi)
-    if guess is None:  # the first halving
-        split = ~_closed(lo, hi, xtol)
-        lo, hi = np.where(split & ~truth[:, 2], mid, lo), np.where(split & truth[:, 2], mid, hi)
-    live = np.flatnonzero(~_closed(lo, hi, xtol))
-    c0, c1 = np.full(live.size, -np.inf), np.full(live.size, np.inf)
-    if values is not None and live.size:
-        lo[live], hi[live], c0, c1 = _speculate(
-            pred, live, lo[live], hi[live], ts[live], truth[live], values[live], xtol,
-            guess is None, table)
-        still = ~_closed(lo[live], hi[live], xtol)
-        live, c0, c1 = live[still], c0[still], c1[still]
-    if live.size:
-        lo[live], hi[live] = _walk(lo[live], hi[live], xtol, truths=_asked(pred, live, c0, c1))
-    return lo, hi
-
-
-def _speculate(pred, at, lo, hi, ts, truth, values, xtol, falsi: bool, table):
-    """Brackets ``at`` with values, from the first call's points ``ts``.
-
-    Without a guess (``falsi``), regula falsi steps evaluate each bracket's
-    estimate.  Then each bracket gets up to ``_CELL_TRIES`` cells
-    (``_cell``), checked at both ends in one call.  A cell False at its low
-    end and True at its high one, with values rising across it by more than
-    ``_ROUNDING``, decides every midpoint above it as bisection would: an
-    ancestor's midpoint lies at least a cell's width beyond it.  So the
-    bracket closes on the cell.  A missed cell tightens the regula falsi
-    bracket for the next.  Returns the brackets and the clear points.
-    """
-    out = [lo.copy(), hi.copy(), np.empty_like(lo), np.empty_like(lo)]
-    s = np.empty((7, at.size))
-    s[_A], s[_FA], s[_B], s[_FB] = ts[:, 0], values[:, 0], ts[:, 1], values[:, 1]
-    s[_LAST] = 0.0
-    s[_C0] = np.where(values[:, 0] < -_ROUNDING, ts[:, 0], -np.inf)  # False at lo
-    s[_C1] = np.where(values[:, 1] > _ROUNDING, ts[:, 1], np.inf)  # True at hi
-    for k in range(2, ts.shape[1]):
-        _tighten(s, ts[:, k], truth[:, k], values[:, k])
-    _clear(s, ts[:, 2:].T, values[:, 2:].T)
-    last = np.nan
-    for _ in range(_FALSI_STEPS if falsi else 0):
-        t = _secant(s)
-        # stop once every estimate repeats an end or has settled to xtol
-        if ((t == s[_A]) | (t == s[_B]) | ((last - xtol <= t) & (t <= last + xtol))).all():
-            break
-        tk, vk = _outcome(pred(t[:, None], at))
-        _tighten(s, t, tk[:, 0], vk[:, 0])
-        _clear(s, t, vk[:, 0])
-        last = t
-    left = np.arange(at.size)  # positions in ``out`` of the columns of ``s``
-    for _ in range(_CELL_TRIES):
-        n = left.size
-        # the boundary lies in (a, b]: so does the estimate
-        p = np.minimum(np.maximum(_secant(s), np.nextafter(s[_A], np.inf)), s[_B])
-        ends = () if table else (lo[left], hi[left])
-        cell = np.concatenate(_cell(p, xtol, table, *ends))
-        # an end at or past a clear point needs no call
-        known = np.concatenate([cell[:n] <= s[_C0], cell[n:] >= s[_C1]])
-        tc = np.arange(2 * n) >= n
-        vc = np.where(tc, np.inf, -np.inf)
-        ask = np.flatnonzero(~known)
-        if ask.size:
-            tk, vk = _outcome(pred(cell[ask, None], at[left[ask % n]]))
-            tc[ask], vc[ask] = tk[:, 0], vk[:, 0]
-        cell, tc, vc = cell.reshape(2, n), tc.reshape(2, n), vc.reshape(2, n)
-        _clear(s, cell, vc)
-        hit = ~tc[0] & tc[1]
-        decided = hit & (vc[1] > vc[0] + _ROUNDING)
-        out[0][left[decided]], out[1][left[decided]] = cell[:, decided]
-        # a flat cell leaves for the plain halvings
-        out[2][left], out[3][left] = s[_C0], s[_C1]
-        miss = np.flatnonzero(~hit)
-        left, s = left[miss], s.take(miss, 1)
-        if not left.size:
-            break
-        # a True low end or else a False high end tightens the bracket
-        probe = np.where(tc[0, miss], 0, 1), miss
-        _tighten(s, cell[probe], tc[probe], vc[probe])
-    out[2][left], out[3][left] = s[_C0], s[_C1]
-    return out
-
-
-def _secant(s: np.ndarray) -> np.ndarray:
-    """The weighted regula falsi estimate of each bracket ``[a, b]``."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return s[_A] - s[_FA] * (s[_B] - s[_A]) / (s[_FB] - s[_FA])
-
-
-def _tighten(s: np.ndarray, t, truth, v) -> None:
-    """Tighten the brackets in place by abscissae ``t`` with their truths
-    and values: a False ``t`` above ``a`` becomes ``a``, a True one below
-    ``b`` becomes ``b``.  An end kept while the other moves a second time in
-    a row has its value weighted down (Anderson-Bjorck)."""
-    a, fa, b, fb, last = s[:_C0]
-    up, down = ~truth & (t > a), truth & (t < b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shrink = 1.0 - v / np.where(up, fa, fb)
-    shrink = np.where(shrink > 0.0, shrink, 0.5)
-    np.multiply(fb, shrink, out=fb, where=up & (last < 0.0))
-    np.multiply(fa, shrink, out=fa, where=down & (last > 0.0))
-    np.copyto(a, t, where=up)
-    np.copyto(fa, v, where=up)
-    np.copyto(b, t, where=down)
-    np.copyto(fb, v, where=down)
-    last[...] = down
-    last -= up
-
-
-def _clear(s: np.ndarray, t, v) -> None:
-    """Tighten the clear points in place by abscissae ``t``, one or more per
-    column, with their values."""
-    c0, c1 = s[_C0], s[_C1]
-    for t, v in zip(t.reshape(-1, c0.size), v.reshape(-1, c0.size)):
-        np.copyto(c0, t, where=(v < -_ROUNDING) & (t > c0))
-        np.copyto(c1, t, where=(v > _ROUNDING) & (t < c1))
-
-
-# Halvings looked up in a table of bracket ends, ``2**_TABLED + 1`` of them
-# (512 kB), when all brackets of a search start from one.
-_TABLED = 16
-
-
-@functools.lru_cache(maxsize=8)
-def _table(lo: float, hi: float, xtol: float) -> tuple[np.ndarray, tuple[int, bool]]:
-    """The ends of the brackets that the first halvings of ``[lo, hi]``
-    leave, in order (``_TABLED`` halvings, or fewer where one could close
-    a bracket), and the ``_levels`` of those brackets."""
-    nodes = np.array([lo, hi])
-    for _ in range(min(_TABLED, _levels(nodes[:1], nodes[1:], xtol)[0])):
-        finer = np.empty(2 * nodes.size - 1)
-        finer[::2], finer[1::2] = nodes, 0.5 * (nodes[:-1] + nodes[1:])
-        nodes = finer
-    nodes.flags.writeable = False
-    return nodes, _levels(nodes[:-1], nodes[1:], xtol)
-
-
-def _cell(p: np.ndarray, xtol: float, table, lo=None, hi=None):
-    """The last bracket ``lo < p <= hi`` of the halvings of each
-    ``[lo, hi]``, by arithmetic alone; from the ``_table`` of their one
-    bracket in place of ``lo`` and ``hi`` when there is one."""
-    if table is None:
-        return _walk(lo, hi, xtol, p=p)
-    j = np.clip(np.searchsorted(table[0], p), 1, table[0].size - 1)
-    return _walk(table[0][j - 1], table[0][j], xtol, p=p, sure=table[1])
-
-
-def _asked(pred, at, c0, c1):
-    """The truths of midpoints of brackets ``at``: from the clear points
-    where they decide, else from ``pred`` for the brackets still open."""
-    def truths(mid, split):
-        truth = mid >= c1
-        ask = np.flatnonzero(~truth & (mid > c0) & (True if split is None else split))
-        if ask.size == mid.size:
-            return _outcome(pred(mid[:, None], at))[0][:, 0]
-        if ask.size:
-            truth[ask] = _outcome(pred(mid[ask, None], at[ask]))[0][:, 0]
-        return truth
-    return truths
-
-
-def _walk(lo: np.ndarray, hi: np.ndarray, xtol: float, *, p=None, truths=None,
-          sure: tuple[int, bool] | None = None):
-    """Each bracket halved down to where bisection stops, toward its low
-    half where the midpoint is at or past ``p``, or else where
-    ``truths(mid, split)`` is True.  The halvings that ``_levels`` (or
-    ``sure``) counts leave every bracket open, and run in place on an array
-    of both ends; ``split`` is None there, and after them the brackets
-    still open."""
-    ends = np.column_stack([lo, hi])
-    flat, first = ends.reshape(-1), np.arange(0, ends.size, 2)
-    lo, hi = ends.T
-    levels, closing = _levels(lo, hi, xtol) if sure is None else sure
-    for _ in range(levels):
-        mid = 0.5 * (lo + hi)
-        # a True midpoint is the new hi
-        flat[first + (mid >= p if truths is None else truths(mid, None))] = mid
-    while not closing:
-        split = ~_closed(lo, hi, xtol)
-        if not split.any():
-            break
-        mid = 0.5 * (lo + hi)
-        truth = mid >= p if truths is None else truths(mid, split)
-        lo, hi = np.where(split & ~truth, mid, lo), np.where(split & truth, mid, hi)
-    return lo, hi
-
-
-def _levels(lo: np.ndarray, hi: np.ndarray, xtol: float) -> tuple[int, bool]:
-    """How many halvings of brackets ``[lo, hi]`` certainly leave every one
-    open, and whether every one closes just after them.
-
-    Computed midpoints stray from exact halving by at most ``2**-50`` of the
-    largest end, in all.  So where ``xtol`` is at least ``2**-47`` of it
-    (32 spacings of floats), no midpoint rounds onto an end while a bracket
-    is wider than ``xtol``, and when the widths leave no doubt the count is
-    the level on which every bracket closes.  Else it is the levels on
-    which every width stays above four times xtol and four spacings of
-    floats at the ends.
-    """
-    ends = max(-float(lo.min()), float(hi.max()), 0.0)  # every |end| is at most this
-    narrow, wide, err = float((hi - lo).min()), float((hi - lo).max()), 2.0 ** -50 * ends
-    if xtol >= 2.0 ** -47 * ends and narrow > xtol + err:
-        k = math.ceil(math.log2(wide / xtol))
-        if narrow / 2.0 ** (k - 1) > xtol + err and wide / 2.0 ** k <= xtol - err:
-            return k, True
-    floor = max(xtol, 2.0 ** -47 * ends, 2.0 ** -1070)
-    return max(0, int(math.log2(max(narrow, floor) / floor)) - 2), False
 
 
 # The three scalar bisections below wrap `bracket_search` for a scalar

@@ -312,18 +312,17 @@ class BisectorPair:
 # interval wider than ``_BISECTOR_WIDTH`` is a flat piece of g, not one root.
 _BISECTOR_TIE = 1e-10
 _BISECTOR_WIDTH = 1e-6
-# The root bracket stops this far short of x and -x, where g is -2 and 2;
-# the root lies near pi / 2 from either.
-_BISECTOR_END_GAP = 1e-9
 
 
 def bisector_points(norm: Norm, x: SpherePoint) -> BisectorPair:
     """Solve ``||z - x|| = ||z + x||`` on the sphere.
 
     ``g(theta) = ||s - x|| - ||s + x||`` rises monotonically from -2 to 2 on
-    the half circle, so one bracket search finds its root and a second one
-    both edges of the interval where ``|g| <= _BISECTOR_TIE``.  If that
-    interval is wider than ``_BISECTOR_WIDTH`` the result is flagged
+    the half circle, so the edges of the interval where
+    ``|g| <= _BISECTOR_TIE`` are the first angle forward from ``x`` where
+    ``g >= -_BISECTOR_TIE`` and the first angle backward from ``-x`` where
+    ``g <= _BISECTOR_TIE``: one bracket search of ``[0, pi]`` finds both.
+    If that interval is wider than ``_BISECTOR_WIDTH`` the result is flagged
     non-unique and the interval midpoint is returned.
     """
     if norm.dim != 2:
@@ -331,27 +330,15 @@ def bisector_points(norm: Norm, x: SpherePoint) -> BisectorPair:
     _require_owner(norm, x)
     alpha = _theta_of(x)
     xv = x.vec
-
-    def g(t):
-        s = radial_points_vec(norm, (alpha + t).ravel())
-        return (norm(s - xv) - norm(s + xv)).reshape(t.shape)
-
-    def rising(t, at):
-        gt = g(t)
-        return gt > 0.0, gt
-
-    lo, hi = bracket_search(rising, [_BISECTOR_END_GAP], [math.pi - _BISECTOR_END_GAP],
-                            xtol=DEFAULT_TOLS.angle)
-    root = float(0.5 * (lo[0] + hi[0]))
-    # the tie interval's edges: forward from 0 and backward from pi, together
     back = np.array([[False], [True]])
 
     def tied(u, at):
-        slack = _BISECTOR_TIE - np.abs(g(np.where(back[at], math.pi - u, u)))
+        s = radial_points_vec(norm, (alpha + np.where(back[at], math.pi - u, u)).ravel())
+        g = (norm(s - xv) - norm(s + xv)).reshape(u.shape)
+        slack = _BISECTOR_TIE + np.where(back[at], -g, g)
         return slack >= 0.0, slack
 
-    hi = bracket_search(tied, [0.0, 0.0], [root, math.pi - root],
-                        xtol=DEFAULT_TOLS.angle)[1]
+    hi = bracket_search(tied, [0.0, 0.0], [math.pi, math.pi], xtol=DEFAULT_TOLS.angle)[1]
     t_lo, t_hi = float(hi[0]), math.pi - float(hi[1])
     unique = (t_hi - t_lo) <= _BISECTOR_WIDTH
     t_mid = 0.5 * (t_lo + t_hi)

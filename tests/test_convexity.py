@@ -258,7 +258,7 @@ def test_face_segments_stop_at_sampled_vertices(square, hexn):
     assert convexity._longest_face(EuclideanNorm(), 512) == 0.0
 
 
-def lockstep_partner_sums(norm, eps, thetas, sides):
+def lockstep_brackets(norm, eps, thetas, sides):
     """The partner search without brackets: each of the 45 lockstep halvings
     of [0, pi] evaluates the chord at every midpoint."""
     x = radial_points_vec(norm, thetas)
@@ -267,6 +267,12 @@ def lockstep_partner_sums(norm, eps, thetas, sides):
         mid = 0.5 * (lo + hi)
         far = norm(x - radial_points_vec(norm, thetas + sides * mid)) >= eps
         lo, hi = np.where(far, lo, mid), np.where(far, mid, hi)
+    return lo, hi
+
+
+def lockstep_partner_sums(norm, eps, thetas, sides):
+    x = radial_points_vec(norm, thetas)
+    hi = lockstep_brackets(norm, eps, thetas, sides)[1]
     return norm(x + radial_points_vec(norm, thetas + sides * hi))
 
 
@@ -309,24 +315,83 @@ BRACKET_SUBJECTS = bracket_subjects()
 BRACKET_EPS = (5e-3, 0.5, 1.1, 1.7, 1.95)
 
 
+CHORDS = convexity._chords
+# Predicate calls a partner search may take: ``_STALL_CALLS + 1`` per halving
+# that plain bisection of [0, pi] takes to ``_PARTNER_XTOL``, and the first.
+PARTNER_CALL_BOUND = 1 + (numerics._STALL_CALLS + 1) * math.ceil(
+    math.log2(math.pi / convexity._PARTNER_XTOL))
+# A computed chord stays within ~2e-15 of a monotone function of its angle.
+CHORD_ROUNDING = 2.0 ** -46
+
+
+def searched_brackets(monkeypatch, norm, eps, x, thetas, sides, guess=None):
+    """The brackets of ``_partners`` and the number of its predicate calls."""
+    got, calls = [], []
+
+    def spy(pred, lo, hi, **kwargs):
+        def counted(t, at):
+            calls.append(t.shape)
+            return pred(t, at)
+        got.append(numerics.bracket_search(counted, lo, hi, **kwargs))
+        return got[-1]
+    with monkeypatch.context() as patch:
+        patch.setattr(convexity, "bracket_search", spy)
+        partners = convexity._partners(norm, eps, x, thetas, sides, guess)
+    (lo, hi), = got
+    assert np.array_equal(hi, partners)
+    return lo, hi, len(calls)
+
+
+def assert_partner_contract(norm, eps, x, thetas, sides, lo, hi):
+    """The chord falls short of eps at lo and reaches it at hi (pi is
+    answered without a call), and every bracket is closed."""
+    assert np.all(CHORDS(norm, x, thetas, sides, lo) < eps)
+    assert np.all((CHORDS(norm, x, thetas, sides, hi) >= eps) | (hi == math.pi))
+    mid = 0.5 * (lo + hi)
+    assert np.all((hi - lo <= convexity._PARTNER_XTOL) | (mid == lo) | (mid == hi))
+
+
+def assert_near_lockstep(norm, eps, x, thetas, sides, lo, hi):
+    """Partners within 1e-13 of the lockstep's, wherever the two brackets
+    overlap; where they lie apart, the chord turns back between them (True
+    below False), which only rounding does: it must be flat at eps there.
+    Returns how many lie apart."""
+    lock_lo, lock_hi = lockstep_brackets(norm, eps, thetas, sides)
+    apart = np.abs(hi - lock_hi) > 1e-13
+    below = hi < lock_lo
+    true_at = np.where(below, hi, lock_hi)[apart]
+    false_at = np.where(below, lock_lo, lo)[apart]
+    rise = (CHORDS(norm, x[apart], thetas[apart], sides[apart], true_at)
+            - CHORDS(norm, x[apart], thetas[apart], sides[apart], false_at))
+    assert np.all((0.0 <= rise) & (rise <= CHORD_ROUNDING)), rise
+    return int(apart.sum())
+
+
 @pytest.mark.parametrize("name", BRACKET_SUBJECTS)
-def test_first_grid_partner_sums_equal_the_lockstep_search(name):
+def test_first_grid_partner_sums_equal_the_lockstep_search(name, monkeypatch):
+    """Every first-grid partner keeps the contract, is the same in another
+    batch, and lies within 1e-13 of the lockstep partner."""
     norm = BRACKET_SUBJECTS[name]
     thetas, sides = first_grid(1024)
     x = radial_points_vec(norm, thetas)
     for eps in BRACKET_EPS:
-        partners = convexity._partners(norm, eps, x, thetas, sides)
-        sums = norm(x + radial_points_vec(norm, thetas + sides * partners))
-        assert np.array_equal(sums, lockstep_partner_sums(norm, eps, thetas, sides)), eps
+        lo, hi, calls = searched_brackets(monkeypatch, norm, eps, x, thetas, sides)
+        assert_partner_contract(norm, eps, x, thetas, sides, lo, hi)
+        assert assert_near_lockstep(norm, eps, x, thetas, sides, lo, hi) == 0, eps
+        assert calls <= 24, eps  # 23 measured (hexagon, 1.7), 46 without values
+        some = np.arange(thetas.size)[::-3]  # every third angle, backward
+        assert np.array_equal(convexity._partners(norm, eps, x[some], thetas[some], sides[some]),
+                              hi[some]), eps
 
 
 @pytest.mark.parametrize("name", BRACKET_SUBJECTS)
 def test_best_sum_equals_the_lockstep_search_with_zooms(name):
     norm = BRACKET_SUBJECTS[name]
-    # at eps = 2 the chord is flat at the antipode, so the search takes the
-    # truths alone there and evaluates every midpoint
-    for eps in (0.5, 1.1, 1.95, 1.99, 2.0):
-        assert convexity._best_sum(norm, eps, 64) == lockstep_best_sum(norm, eps, 64), eps
+    for eps in (0.5, 1.1, 1.95, 1.99):
+        assert abs(convexity._best_sum(norm, eps, 64) - lockstep_best_sum(norm, eps, 64)) <= 2e-13
+    # at eps = 2 the chord is flat at eps at the antipode, so the search takes
+    # the truths alone there: plain bisection, bit for bit
+    assert convexity._best_sum(norm, 2.0, 64) == lockstep_best_sum(norm, 2.0, 64)
 
 
 @pytest.fixture
@@ -342,26 +407,28 @@ def chord_rows(monkeypatch):
     return rows
 
 
-def test_wrong_brackets_revert_to_the_plain_search(p3, chord_rows):
-    """Brackets past, short of or around the partner give the plain partners;
-    only a bracket that holds it skips midpoints."""
+def test_wrong_brackets_revert_to_the_plain_search(p3, chord_rows, monkeypatch):
+    """Brackets past, short of or around the partner keep the contract and
+    the partners within ``_PARTNER_XTOL``; only a bracket that holds it
+    saves calls."""
     eps = 1.1
     thetas = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)
     sides = np.where(np.arange(40) % 2 == 0, 1.0, -1.0)
     x = radial_points_vec(p3, thetas)
-    plain = convexity._partners(p3, eps, x, thetas, sides)
-    assert np.array_equal(
-        p3(x + radial_points_vec(p3, thetas + sides * plain)),
-        lockstep_partner_sums(p3, eps, thetas, sides))
+    lo, plain, _ = searched_brackets(monkeypatch, p3, eps, x, thetas, sides)
+    assert_partner_contract(p3, eps, x, thetas, sides, lo, plain)
+    assert assert_near_lockstep(p3, eps, x, thetas, sides, lo, plain) == 0
     for a, b in ((plain + 0.1, plain + 0.2),    # past the partner: a fails
                  (plain - 0.2, plain - 0.1),    # short of it: b fails
                  (plain + 0.1, plain - 0.1),    # swapped: both fail
                  (plain - 1e-9, plain + 1e-9)):  # holds it
         chord_rows.clear()
-        got = convexity._partners(p3, eps, x, thetas, sides,
-                                  (np.clip(a, 0.0, math.pi), np.clip(b, 0.0, math.pi)))
-        assert np.array_equal(got, plain)
-    assert sum(chord_rows) < 20 * thetas.size  # 2 checks and about 16 midpoints per angle
+        lo, hi, calls = searched_brackets(monkeypatch, p3, eps, x, thetas, sides,
+                                          (np.clip(a, 0.0, math.pi), np.clip(b, 0.0, math.pi)))
+        assert_partner_contract(p3, eps, x, thetas, sides, lo, hi)
+        assert np.all(np.abs(hi - plain) <= convexity._PARTNER_XTOL)
+        assert calls <= PARTNER_CALL_BOUND
+    assert sum(chord_rows) < 5 * thetas.size  # 2 bracket ends and 2 steps per angle
 
 
 def test_fitted_brackets_skip_most_midpoints(p3, chord_rows):
@@ -371,27 +438,29 @@ def test_fitted_brackets_skip_most_midpoints(p3, chord_rows):
     chord_rows.clear()
     convexity._best_sum(p3, 1.1, 512)
     zoom_angles = convexity._ZOOMS * convexity._CANDIDATES * convexity._ZOOM_POINTS
-    # 2 bracket ends and 2 cell ends per zoom angle fitted from the first
-    # grid: 4.0 per angle, against 45 without brackets
+    # 2 bracket ends and 2 interpolation steps per zoom angle fitted from the
+    # first grid: 4.0 per angle, against 49 without brackets
     assert sum(chord_rows) - first < 5 * zoom_angles
 
 
 def test_secant_cells_take_few_chords(p3, chord_rows):
     thetas, sides = first_grid(512)
     convexity._partners(p3, 1.1, radial_points_vec(p3, thetas), thetas, sides)
-    # the first midpoint, regula falsi steps until the estimates settle and 2
-    # cell ends per angle, a few more where a cell misses: 10.0 per angle
-    # (13.9 with twelve steps always), against 45 without brackets
-    assert sum(chord_rows) < 15 * thetas.size
+    # the first midpoint and the interpolation steps: 7.7 per angle (10.0
+    # with regula falsi steps and cells), against 49 without values
+    assert sum(chord_rows) < 9 * thetas.size
 
 
+# Measured per first-grid angle and per zoom angle: hexagon 8.7 and 6.0 at
+# 1.1, 8.7 and 11.6 at 1.5 (zoom angles at a kink); hexagon image 8.2 and 6.0
+# at 1.1, 10.3 and 16.5 at 1.9; lens 7.7 and 6.0 at 1.1, 9.7 and 6.0 at 1.9.
 @pytest.mark.parametrize("name, eps, first_bound, zoom_bound", [
-    ("hexagonal", 1.1, 15, 9),    # 14.2 per first-grid angle, 8.0 per zoom angle
-    ("hexagonal", 1.5, 17, 30),   # 14.6, 28.2: zoom angles at a kink halve plainly
-    ("hex-image", 1.1, 15, 9),    # 14.0, 8.0
-    ("hex-image", 1.9, 17, 31),   # 15.7, 29.6
-    ("lens", 1.1, 15, 7),         # 9.9, 6.0
-    ("lens", 1.9, 15, 9),         # 14.3, 8.2; 39 if every zoom angle halves plainly
+    ("hexagonal", 1.1, 15, 9),
+    ("hexagonal", 1.5, 17, 30),
+    ("hex-image", 1.1, 15, 9),
+    ("hex-image", 1.9, 17, 31),
+    ("lens", 1.1, 15, 7),
+    ("lens", 1.9, 15, 9),
 ])
 def test_polygon_and_lens_partners_take_few_chords(name, eps, first_bound, zoom_bound,
                                                    chord_rows):
@@ -409,33 +478,40 @@ def test_polygon_and_lens_partners_take_few_chords(name, eps, first_bound, zoom_
 @pytest.mark.parametrize("estimate", ["cell low", "cell high", "nan", "at a", "at b"])
 @pytest.mark.parametrize("bracketed", [True, False])
 def test_missed_cells_keep_the_lockstep_partners(p3, monkeypatch, estimate, bracketed):
-    """Regula falsi estimates forced one cell below or above the partner, to
-    NaN or to a bracket end miss every cell; the failed ends tighten the
-    bracket and the partners stay those of the lockstep search.  Each angle
-    is searched as 24 copies, so that the many-bracket path runs."""
+    """Values that mislead every estimate -- their root 1e-12 below ("cell
+    low") or above ("cell high") the partner, NaN, or at 0 ("at a") or pi
+    ("at b"), which gives them the wrong sign -- cost calls but never a
+    partner: the truths decide, so the partners stay within
+    ``_PARTNER_XTOL`` of those the true values find, and within 1e-13 of the
+    lockstep's.  Each angle is searched as 24 copies, so that the
+    many-bracket path runs, and the copies agree."""
     eps, copies = 1.1, 24
     thetas = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
     sides = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
     x = radial_points_vec(p3, thetas)
     plain = convexity._partners(p3, eps, x, thetas, sides)
-    # the lockstep's last lo: one cell low
-    below = numerics._cell(plain, 1e-13, None, np.zeros(12), np.full(12, math.pi))[0]
     got = np.empty_like(plain)
     for i in range(thetas.size):
-        forced = {"cell low": lambda s: np.full(s.shape[1], below[i]),
-                  "cell high": lambda s: np.full(s.shape[1], np.nextafter(plain[i], 4.0)),
-                  "nan": lambda s: np.full(s.shape[1], math.nan),
-                  "at a": lambda s: s[numerics._A],
-                  "at b": lambda s: s[numerics._B]}[estimate]
-        monkeypatch.setattr(numerics, "_secant", forced)
+        root = {"cell low": plain[i] - 1e-12, "cell high": plain[i] + 1e-12,
+                "nan": math.nan, "at a": 0.0, "at b": math.pi}[estimate]
+        calls = []
+
+        def misled(pred, lo, hi, **kwargs):
+            def lying(t, at):
+                calls.append(t.shape)
+                return pred(t, at)[0], t - root
+            return numerics.bracket_search(lying, lo, hi, **kwargs)
         one = np.full(copies, i)
         guess = (np.full(copies, plain[i] - 1e-9), np.full(copies, plain[i] + 1e-9))
-        partners = convexity._partners(p3, eps, x[one], thetas[one], sides[one],
-                                       guess if bracketed else None)
+        with monkeypatch.context() as patch:
+            patch.setattr(convexity, "bracket_search", misled)
+            partners = convexity._partners(p3, eps, x[one], thetas[one], sides[one],
+                                           guess if bracketed else None)
         assert np.all(partners == partners[0])
+        assert abs(partners[0] - plain[i]) <= convexity._PARTNER_XTOL
+        assert len(calls) <= PARTNER_CALL_BOUND
         got[i] = partners[0]
-    assert np.array_equal(p3(x + radial_points_vec(p3, thetas + sides * got)),
-                          lockstep_partner_sums(p3, eps, thetas, sides))
+    assert np.all(np.abs(got - lockstep_brackets(p3, eps, thetas, sides)[1]) <= 1e-13)
 
 
 @pytest.mark.parametrize("name, eps", [
@@ -444,15 +520,18 @@ def test_missed_cells_keep_the_lockstep_partners(p3, monkeypatch, estimate, brac
     ("p3-image", 1.99), ("lens", 1.999),
     ("euclidean", 1.99999), ("p1.5", 1.99999),  # near the antipode
 ])
-def test_first_grid_partners_equal_the_lockstep_search_where_rounding_decides(name, eps):
+def test_first_grid_partners_equal_the_lockstep_search_where_rounding_decides(name, eps,
+                                                                              monkeypatch):
     """Where the chord is flat at eps, rounding orders the chords of nearby
-    midpoints: a cell must not decide them, the halvings must."""
+    angles: the partners keep the contract and differ from the lockstep's
+    by more than 1e-13 only where rounding turns the chord back."""
     norm = BRACKET_SUBJECTS[name]
     thetas, sides = first_grid(1024)
     x = radial_points_vec(norm, thetas)
-    partners = convexity._partners(norm, eps, x, thetas, sides)
-    sums = norm(x + radial_points_vec(norm, thetas + sides * partners))
-    assert np.array_equal(sums, lockstep_partner_sums(norm, eps, thetas, sides))
+    lo, hi, calls = searched_brackets(monkeypatch, norm, eps, x, thetas, sides)
+    assert_partner_contract(norm, eps, x, thetas, sides, lo, hi)
+    assert_near_lockstep(norm, eps, x, thetas, sides, lo, hi)
+    assert calls <= 64  # 59 measured (euclidean), 49 without values
 
 
 @pytest.mark.parametrize("name", ["hex-image", "p3-image"])

@@ -271,11 +271,9 @@ def test_queries_equal_scalar_bisection_bit_for_bit(hexn, p3, lens):
                 s = two_row_radial(norm, theta + t)
                 return two_row(norm, s - xv) - two_row(norm, s + xv)
 
-            lo, hi = plain_bisection(lambda t: g(t) > 0.0, 1e-9, math.pi - 1e-9)
-            root = 0.5 * (lo + hi)
-            t_lo = plain_bisection(lambda t: abs(g(t)) <= 1e-10, 0.0, root)[1]
-            t_hi = math.pi - plain_bisection(lambda u: abs(g(math.pi - u)) <= 1e-10,
-                                             0.0, math.pi - root)[1]
+            # the tie edges: forward from x and backward from -x over [0, pi]
+            t_lo = plain_bisection(lambda t: g(t) >= -1e-10, 0.0, math.pi)[1]
+            t_hi = math.pi - plain_bisection(lambda u: g(math.pi - u) <= 1e-10, 0.0, math.pi)[1]
             z = radial_point(norm, theta + 0.5 * (t_lo + t_hi))
             assert bisector_points(norm, x).point == z
 
