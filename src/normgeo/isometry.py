@@ -14,13 +14,14 @@ reversed lags read from a skewed view of the same block in one reduction.
 Offsets move the points at unit speed and an arc is never shorter than its
 chord, so the mismatch is 2-Lipschitz in the offset: only grid minima that
 could fall to the tolerance within a grid step are refined.  Near an
-isometry every chord's mismatch is linear in the offset, so the row
-mismatch is a V; the minima are refined together by one batched search that
-steps to the apex of the V through its best points (``golden_max``).  One
-certificate then checks each survivor's full chord matrix: an offset of
-``f + s`` sample steps puts sample ``i`` at ``f + (s +- i)``, so offsets with
-one fraction ``f`` share the chord matrix of the points ``f + k``, rows and
-columns permuted, and whole shifts read the second fingerprint's own.  The
+isometry every chord's mismatch is linear in the offset with a common zero;
+the minima are refined together by one batched secant search that fits each
+chord's slope and steps to the least-squares zero of the lines, halving its
+bracket where a step fails (``_secant_refine``).  One certificate then
+checks each survivor's full chord matrix: an offset of ``f + s`` sample
+steps puts sample ``i`` at ``f + (s +- i)``, so offsets with one fraction
+``f`` share the chord matrix of the points ``f + k``, rows and columns
+permuted, and whole shifts read the second fingerprint's own.  The
 permuted matrix is compared block by block in place: a shift cuts it into
 four contiguous blocks, and a reflection is a shift of the matrix reversed.
 Offsets need not be whole sample steps, so symmetries whose order does not
@@ -39,7 +40,6 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from .config import DEFAULT_TOLS
 from .charts import SphereMapSample
 from .norms import Norm, RevolutionNorm, hexagonal_norm
-from .numerics import golden_max
 from .sphere import arc_length_map
 
 __all__ = [
@@ -62,16 +62,24 @@ _MAP_SAMPLE_TOL = 1e-8
 _ARC_SLACK = 1e-6
 # Refined offsets nearer than this fraction of the circumference are one
 # element: brackets from adjacent grid minima converge to the same zero
-# within the refinement's stopping width, ~1e-13, and distinct elements lie
-# a circumference over the order apart.
+# within ~3e-14 of it (the rotations of the shipped spheres and of 20 seeded
+# images, 64 to 512 samples), and distinct elements lie a circumference over
+# the order apart.
 _MERGE_RADIUS = 1e-7
 # A refined offset within this many sample steps of a whole step is that
 # sample shift, and offsets whose fractions of a step are this close share
 # one chord matrix: the offsets of sample-aligned isometries refine to within
-# 8e-13 steps of it (diamond onto square, 64 to 1000 samples), and the
+# 6e-14 steps of it (diamond onto square, 64 to 1000 samples), and the
 # nearest fractional shift there is a quarter step off a whole one.  Distinct
 # elements, _MERGE_RADIUS of the circumference apart, never snap to one shift.
 _SHIFT_SNAP = 1e-6
+# An offset refinement stops once the least-squares zero of its chords is
+# this close to its best point, relative to ``1 + |t|``: tens of ulps of an
+# offset on a sphere of length 6 to 8.
+_REFINE_STOP = 1e-14
+# A refinement bracket that this many calls in a row have not halved is
+# halved on the next call.
+_REFINE_STALL = 4
 
 
 @dataclass(frozen=True)
@@ -263,6 +271,102 @@ def _skewed(doubled: np.ndarray, shift: int, step: int) -> np.ndarray:
                       strides=(rows - step * cols, cols), writeable=False)
 
 
+def _near(a, x):
+    """Where ``a`` is within the refinement's stopping width of ``x``."""
+    return np.abs(a - x) < _REFINE_STOP * (1.0 + np.abs(x))
+
+
+def _secant_refine(mismatch, centres: np.ndarray, half: float,
+                   tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Common zeros of per-chord mismatches, bracket-wise.
+
+    ``mismatch`` maps ``k`` offsets to the ``(k, n)`` signed mismatches
+    ``e_j(t)`` of their chords; bracket ``i`` is ``centres[i] +- half``.
+    Near an isometry every ``e_j`` is linear in ``t`` with a common zero, so
+    each step fits the slope ``b_j`` of every chord through the bracket's
+    last two points and goes to the least-squares zero of those lines,
+    ``t - sum b_j e_j / sum b_j^2``.  The first call evaluates the centres
+    plus ``half / 8`` and the centres; the first step goes from the centre.
+    The zero lies on the side that the sign of ``sum b_j e_j`` points to,
+    so a point evaluated inside its bracket becomes the end on the other
+    side (a NaN sum moves the low end).
+
+    A bracket is done once the least-squares zero lies within
+    ``_REFINE_STOP * (1 + |x|)`` of a point ``x`` already evaluated, the
+    last or the best, where ``max_j |e_j|`` is within ``tol``; once it is
+    narrower than twice that; or once the mismatch at ``t`` exceeds
+    ``tol + _ARC_SLACK`` by more than twice the distance to its far end
+    (the screen's bound: no point of the bracket can match).  A step that
+    short from a point whose mismatch is above ``tol`` meets a kink, not
+    the common zero: on a polygon, once the point carrying sample 0 has
+    crossed a vertex, some chords are flat and the lines cannot see past
+    it, so that point moves no end.  The step after it, a step that leaves
+    the open bracket or is not finite, and any step of a bracket that
+    ``_REFINE_STALL`` calls in a row have not halved go to the bracket's
+    midpoint, which always moves an end.
+
+    There is no step cap.  Every ``_REFINE_STALL + 1`` calls after the
+    first halve each open bracket at least once, so a search ends within
+    ``1 + (_REFINE_STALL + 1) * ceil(log2(half / _REFINE_STOP))`` calls:
+    201 for the offset scan's brackets, ``half`` at most 8 / 1024.  A
+    bracket's result depends only on its own evaluations.
+
+    Returns each bracket's best point seen and its largest ``|e_j|``
+    (``inf`` where every point gave NaN).
+    """
+    k = centres.size
+    lo, hi = centres - half, centres + half
+    best_t, best = centres.copy(), np.full(k, np.inf)
+    first = np.concatenate([centres + half / 8.0, centres])
+    e_first = mismatch(first)
+    t, e = centres, e_first[k:]
+    with np.errstate(all="ignore"):
+        b = (e_first[:k] - e) / (half / 8.0)
+    at = np.arange(k)
+
+    def settle(t, e, b, midpoint):
+        """Keep the best point and move the ends; returns the secant point
+        from ``t``, whether it is within the stopping width, and the largest
+        ``|e_j(t)|``."""
+        worst = np.abs(e).max(axis=1)
+        better = worst < best[at]
+        best_t[at[better]], best[at[better]] = t[better], worst[better]
+        with np.errstate(all="ignore"):
+            g = (b * e).sum(axis=1)
+            secant = t - g / (b * b).sum(axis=1)
+            left = g > 0.0
+        short = _near(secant, t)
+        move = (lo < t) & (t < hi) & (midpoint | (worst <= tol) | ~short)
+        np.putmask(hi, move & left, t)
+        np.putmask(lo, move & ~left, t)
+        return secant, short, worst
+
+    settle(first[:k], e_first[:k], b, False)
+    secant, short, worst = settle(t, e, b, False)
+    ref, stall = hi - lo, np.zeros(k)
+    while True:
+        fits = (lo < secant) & (secant < hi) & (stall < _REFINE_STALL) & ~short
+        done = ((short & (worst <= tol)) | (_near(secant, best_t[at]) & (best[at] <= tol))
+                | (hi - lo < 2.0 * _REFINE_STOP * (1.0 + np.abs(t)))
+                | (worst - 2.0 * np.maximum(t - lo, hi - t) > tol + _ARC_SLACK))
+        if done.any():
+            live = ~done
+            at, lo, hi, ref, stall = at[live], lo[live], hi[live], ref[live], stall[live]
+            t, e, secant, fits = t[live], e[live], secant[live], fits[live]
+        if at.size == 0:
+            return best_t, best
+        nxt = np.where(fits, secant, 0.5 * (lo + hi))
+        e_nxt = mismatch(nxt)
+        with np.errstate(all="ignore"):
+            b = (e_nxt - e) / (nxt - t)[:, None]
+        t, e = nxt, e_nxt
+        secant, short, worst = settle(t, e, b, ~fits)
+        halved = ~fits | (hi - lo <= 0.5 * ref)
+        np.putmask(ref, halved, hi - lo)
+        stall += 1.0
+        np.putmask(stall, halved, 0.0)
+
+
 def _profile_zeros(fp_x: ChordFingerprint, fp_y: ChordFingerprint,
                    grid: np.ndarray, profile: np.ndarray, reflected: bool,
                    tol: float) -> list[float]:
@@ -276,26 +380,19 @@ def _profile_zeros(fp_x: ChordFingerprint, fp_y: ChordFingerprint,
         targets = -targets
     ref_row = fp_x.chords[0]
 
-    def neg_row_mismatch(offsets: np.ndarray) -> np.ndarray:
+    def row_mismatch(offsets: np.ndarray) -> np.ndarray:
         # coordinate-major points: the norm reads contiguous columns
         xy = amap.coords_at((offsets[:, None] + targets).ravel()).reshape(2, -1, n)
         rows = norm((xy - xy[:, :, :1]).reshape(2, -1).T).reshape(-1, n)
-        return -np.abs(rows - ref_row).max(axis=1)
+        return rows - ref_row
 
     step = circ / grid.size
     local_min = (profile <= np.roll(profile, 1)) & (profile <= np.roll(profile, -1))
     centres = grid[local_min & (profile <= 2.0 * step + tol + _ARC_SLACK)]
     if centres.size == 0:
         return []
-    # the mismatch is V-shaped around each zero
-    offsets, values, converged = golden_max(neg_row_mismatch,
-                                            centres - step, centres + step)
-    if not converged.all():
-        k = int(np.argmin(converged))
-        raise RuntimeError(f"offset refinement on the {norm.kind} sphere hit its "
-                           f"iteration cap in bracket [{float(centres[k] - step)!r}, "
-                           f"{float(centres[k] + step)!r}]")
-    wrapped = (float(offset) % circ for offset in offsets[-values <= tol])
+    offsets, values = _secant_refine(row_mismatch, centres, step, tol)
+    wrapped = (float(offset) % circ for offset in offsets[values <= tol])
     merged: list[float] = []
     # an offset refined to just under a full turn is offset 0
     for w in sorted(0.0 if w > circ - _MERGE_RADIUS * circ else w for w in wrapped):

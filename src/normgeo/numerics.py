@@ -405,8 +405,7 @@ def bisect_first_true(pred: Callable[[float], bool], lo: float, hi: float,
 
 # Golden steps before the first V step.  With three, an exact V closes in six
 # steps at the least (three golden ones, the apex, two nudges), so a cap of
-# five steps leaves every bracket open; a single one would save ~12 % of the
-# calls of the isometry offset refinements.
+# five steps leaves every bracket open.
 _GOLDEN_FIRST = 3
 # A V step needs a bracket at most this many golden steps behind the width
 # golden steps alone would have left; a bracket further behind takes golden
@@ -441,6 +440,12 @@ def golden_max(f: Callable[[np.ndarray], np.ndarray], a, b,
     the result it gives alone.  Returns ``(x, f(x), converged)``, where
     ``converged`` is False for the brackets still open after ``max_iter``
     steps; a NaN bracket stays open.
+
+    No library code calls it: the isometry offset scan refines its offsets
+    from per-chord secants (``isometry._secant_refine``).  It stays because
+    the benchmark's tracer (``perfbench/tracer.py``) patches it by name,
+    until that tracer moves onto a recorder (ROADMAP, "A recorder, a tracer
+    on it").
     """
     a = np.array(a, dtype=float, ndmin=1)
     b = np.array(b, dtype=float, ndmin=1)

@@ -348,19 +348,188 @@ def test_rotations_sit_at_equal_arcs(n, p3, square, diamond, hexn, lens):
         assert np.abs(offsets - step * np.arange(rotations)).max() <= 1e-12, norm
 
 
+def _recorded_refinements(monkeypatch):
+    """Record every offset refinement: its brackets, its calls and its result."""
+    runs = []
+    real = isometry._secant_refine
+
+    def recorded(mismatch, centres, half, tol):
+        calls = []
+
+        def counted(t):
+            calls.append(t.size)
+            return mismatch(t)
+
+        t, value = real(counted, centres, half, tol)
+        runs.append({"mismatch": mismatch, "centres": centres, "half": half, "tol": tol,
+                     "calls": len(calls), "t": t, "value": value})
+        return t, value
+
+    monkeypatch.setattr(isometry, "_secant_refine", recorded)
+    return runs
+
+
 def test_screen_refines_only_offsets_that_can_match(monkeypatch, hexn, p3):
     # grid minima above 2 * step + tol cannot reach tol within their bracket
-    brackets = []
-
-    def counted(f, a, b, **kwargs):
-        brackets.append(len(a))
-        return golden_max(f, a, b, **kwargs)
-
-    monkeypatch.setattr(isometry, "golden_max", counted)
+    runs = _recorded_refinements(monkeypatch)
     hex_image, _ = _seeded_images(11, hexn, p3)
     group = isometry_group(hex_image, 256)
     assert group.order == 12 and group.pattern == "dihedral-6"
-    assert sum(brackets) == 12
+    assert sum(run["centres"].size for run in runs) == 12
+
+
+def _nine_subjects(seed, euclid, p3, square, diamond, hexn, lens):
+    """The spheres of the benchmark's symmetry workload at one seed."""
+    return [euclid, p3, PNorm(1.5, 2), square, diamond, hexn, lens,
+            *_seeded_images(seed, hexn, p3)]
+
+
+def refinement_bound(half):
+    """The call bound ``_secant_refine`` states for brackets ``centre +- half``."""
+    return 1 + (isometry._REFINE_STALL + 1) * math.ceil(math.log2(half / isometry._REFINE_STOP))
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_refinements_close_within_the_stated_bound(seed, monkeypatch, euclid, p3, square,
+                                                   diamond, hexn, lens):
+    runs = _recorded_refinements(monkeypatch)
+    for norm in _nine_subjects(seed, euclid, p3, square, diamond, hexn, lens):
+        isometry_group(norm, 256)
+    assert runs and refinement_bound(8 / 1024) == 201
+    for run in runs:
+        assert refinement_bound(run["half"]) <= 201
+        # a handful in practice, where the golden search took 8 to 47
+        assert run["calls"] <= min(6, refinement_bound(run["half"]))
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_refined_offsets_match_a_dense_scan_and_golden_max(seed, monkeypatch, euclid, p3,
+                                                           square, diamond, hexn, lens):
+    runs = _recorded_refinements(monkeypatch)
+    for norm in _nine_subjects(seed, euclid, p3, square, diamond, hexn, lens):
+        isometry_group(norm, 256)
+    for run in runs:
+        mismatch, centres, half, tol = run["mismatch"], run["centres"], run["half"], run["tol"]
+
+        def worst(t, mismatch=mismatch):
+            return np.abs(mismatch(t)).max(axis=1)
+
+        matched = run["value"] <= tol
+        assert matched.any()
+        # every bracket's best grid point, 256 grid steps across it
+        grid = centres[:, None] + np.linspace(-half, half, 257)
+        values = worst(grid.ravel()).reshape(grid.shape)
+        nearest = grid[np.arange(centres.size), values.argmin(axis=1)]
+        spacing = half / 128
+        assert np.all(np.abs(run["t"] - nearest)[matched] <= spacing)
+        assert np.all(run["value"][matched] <= values.min(axis=1)[matched])
+        # the golden search on the row mismatch finds the same zeros
+        x, fx, converged = golden_max(lambda t: -worst(t), centres - half, centres + half)
+        assert converged.all()
+        assert np.array_equal(-fx <= tol, matched)
+        assert np.abs(run["t"] - x)[matched].max() <= 2e-13
+
+
+def _synthetic(zeros, chords):
+    """Mismatches ``chords(t - zero)`` of brackets whose zeros are ``zeros``.
+
+    Offsets are matched to brackets by the nearest zero, as in the offset
+    scan, whose brackets never overlap."""
+    def mismatch(t):
+        nearest = np.abs(t[:, None] - zeros[None, :]).argmin(axis=1)
+        return chords((t - zeros[nearest])[:, None])
+    return mismatch
+
+
+def _refined(mismatch, centres, half=1 / 128, tol=1e-6):
+    calls = []
+
+    def counted(t):
+        calls.append(t.size)
+        return mismatch(t)
+
+    t, value = isometry._secant_refine(counted, centres, half, tol)
+    assert len(calls) <= refinement_bound(half)
+    return t, value, len(calls)
+
+
+def lopsided(d):
+    # chords with other slopes on either side of the zero, as at a polygon
+    # vertex, some of them flat on one side; like every row mismatch, they
+    # are 2-Lipschitz
+    left = np.array([0.02, 2.0, -1.5, 0.0, 0.5])
+    right = np.array([2.0, 0.02, -0.25, 1.0, 0.0])
+    return np.where(d < 0.0, left * d, right * d)
+
+
+def kinked(d, delta=6.6e-4):
+    # the point carrying sample 0 crosses a vertex ``delta`` before the zero:
+    # beyond it one group of chords is flat at ``delta`` and the other
+    # crosses zero at the vertex, so the lines there meet at the vertex
+    a = np.where(d < -delta, delta, np.where(d < 0.0, -d, -2.0 * d))
+    b = np.where(d < -delta, d + delta, np.where(d < 0.0, 0.0, 1.5 * d))
+    return np.concatenate([np.repeat(a, 3, axis=1), np.repeat(b, 4, axis=1)], axis=1)
+
+
+@pytest.mark.parametrize("chords", [lopsided, kinked])
+def test_refinement_finds_kinked_zeros(chords):
+    half = 1 / 128
+    centres = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+    zeros = centres + half * np.array([0.0, 0.125, -0.9, 0.9, 0.3, -0.05, 0.6, -0.4])
+    t, value, calls = _refined(_synthetic(zeros, chords), centres, half)
+    assert np.abs(t - zeros).max() <= 1e-13
+    assert value.max() <= 1e-13
+    assert calls <= 12
+
+
+def test_refinement_drops_brackets_without_a_common_zero():
+    # chords whose zeros are spread: the least-squares zero is no match, and
+    # the closest point stays half the spread away from every chord's zero
+    half = 1 / 128
+    centres = np.array([0.0, 1.0, 2.0])
+    for spread in (1e-3, 4e-6, 2.2e-6):
+        offsets = spread * np.linspace(-0.5, 0.5, 7)
+        zeros = centres + half * np.array([0.1, -0.7, 0.0])
+        t, value, _ = _refined(_synthetic(zeros, lambda d: d - offsets), centres, half)
+        assert np.all(value > 1e-6)
+        assert np.all(value >= spread / 2 - 1e-15)
+
+
+def test_refinement_ends_on_mismatches_that_are_not_finite():
+    half = 1 / 128
+    centres = np.array([0.0, 1.0, 2.0])
+    zeros = centres + half * np.array([0.3, 0.0, -0.6])
+    clean = _synthetic(zeros, lopsided)
+
+    def partly_nan(t):
+        e = clean(t)
+        e[np.abs(t - 1.0) < 2 * half] = np.nan  # every chord of bracket 1
+        e[np.abs(t - 2.0) < 2 * half, 2] = np.nan  # one chord of bracket 2
+        e[np.abs(t - 2.0) < 2 * half, 3] = np.inf  # and another
+        return e
+
+    t, value, _ = _refined(partly_nan, centres, half)
+    assert not np.any(value[1:] <= 1e-6)
+    alone = _refined(clean, centres[:1], half)
+    assert t[0] == alone[0][0] and value[0] == alone[1][0]
+
+
+def _whole_rotations(group):
+    return {round(e.shift) % group.n for e in group.elements
+            if e.kind == "rotation" and abs(e.shift - round(e.shift)) <= 1e-6}
+
+
+def test_seeded_images_keep_the_group_of_their_source(hexn, p3):
+    # the hexagon and p3 images of the benchmark's symmetry workload, over
+    # seeds: a rotation turns by a whole fraction of the length wherever
+    # sample 0 lies, so its whole shifts are the source's; a reflection's
+    # offset depends on where sample 0 lies, and is not compared
+    sources = {norm: isometry_group(norm, 256) for norm in (hexn, p3)}
+    for seed in range(1, 21):
+        for source, image in zip((hexn, p3), _seeded_images(seed, hexn, p3)):
+            want, got = sources[source], isometry_group(image, 256)
+            assert (got.order, got.pattern) == (want.order, want.pattern), seed
+            assert _whole_rotations(got) == _whole_rotations(want), seed
 
 
 # -- chord-matrix certificate -------------------------------------------------

@@ -1,4 +1,3 @@
-import functools
 import math
 import re
 import warnings
@@ -8,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normgeo import (bisector_points, diametral_set, isometry, isometry_group, is_flat,
-                     numerics, radial_point, sphere, star)
+from normgeo import (bisector_points, diametral_set, is_flat, numerics, radial_point,
+                     sphere, star)
 from normgeo.numerics import (bisect_first_true, bisect_root, bisect_root_tight,
                               bracket_search, golden_max)
 
@@ -102,13 +101,6 @@ def test_golden_max_leaves_a_nan_bracket_open():
     assert not converged[0] and converged[1]
     alone = golden_max(v_shape, [-0.3], [0.5])
     assert x[1] == alone[0][0] and fx[1] == alone[1][0]
-
-
-def test_capped_refinements_raise(monkeypatch, hexn):
-    capped = functools.partial(golden_max, max_iter=5)
-    monkeypatch.setattr(isometry, "golden_max", capped)
-    with pytest.raises(RuntimeError, match="hexagonal sphere"):
-        isometry_group(hexn, 64)
 
 
 # -- bracket search ----------------------------------------------------------
